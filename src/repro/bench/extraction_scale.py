@@ -53,7 +53,7 @@ from repro.extraction.hierarchical import HierarchicalConfig, LazyInductance
 from repro.extraction.parasitics import Parasitics, extract
 from repro.geometry.bus import nonaligned_bus
 from repro.geometry.system import FilamentSystem
-from repro.noise.engine import NoiseConfig, run_noise_scan
+from repro.noise.engine import NoiseConfig, run_noise_scan, scan_checksum
 from repro.vpec.windowing import geometric_windows, windowed_inverse
 
 SCALE_KERNELS = (
@@ -197,10 +197,8 @@ def _noise_scan(parasitics: Parasitics):
     )
 
 
-def _scan_checksum(report) -> str:
-    peaks = np.array([v.effective_peak for v in report.victims])
-    escalated = np.array([float(v.escalated) for v in report.victims])
-    return array_checksum(peaks, escalated)
+#: The scan digest under the name ``perfbench/`` imports.
+_scan_checksum = scan_checksum
 
 
 def run_extraction_scale_suite(
@@ -301,7 +299,7 @@ def run_extraction_scale_suite(
                         variant=variant,
                         size=n,
                         seconds=seconds,
-                        checksum=_scan_checksum(report),
+                        checksum=scan_checksum(report),
                         peak_bytes=peak,
                     )
                 )

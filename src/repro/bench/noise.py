@@ -29,7 +29,7 @@ from repro.bench.results import BenchResult, array_checksum
 from repro.bench.runner import _best_time
 from repro.extraction.parasitics import extract
 from repro.geometry.bus import aligned_bus
-from repro.noise.engine import NoiseConfig, run_noise_scan
+from repro.noise.engine import NoiseConfig, run_noise_scan, scan_checksum
 from repro.noise.screening import screen_pairs
 from repro.noise.windows import sensitive_windows, staggered_schedule
 from repro.noise.worst_case import align_all
@@ -63,14 +63,6 @@ def _screen_workload(size: int, config: NoiseConfig):
         return estimates, alignments
 
     return run
-
-
-def _report_checksum(report) -> str:
-    peaks = np.array([v.effective_peak for v in report.victims])
-    escalated = np.array(
-        [float(v.escalated) for v in report.victims]
-    )
-    return array_checksum(peaks, escalated)
 
 
 def run_noise_suite(
@@ -121,7 +113,7 @@ def run_noise_suite(
                 variant="tiered",
                 size=engine_size,
                 seconds=seconds,
-                checksum=_report_checksum(report),
+                checksum=scan_checksum(report),
             )
         )
         fullsim_config = replace(
@@ -136,7 +128,7 @@ def run_noise_suite(
                 variant="fullsim",
                 size=engine_size,
                 seconds=seconds,
-                checksum=_report_checksum(report),
+                checksum=scan_checksum(report),
             )
         )
 

@@ -39,10 +39,15 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.bench.results import BenchResult, array_checksum
+from repro.bench.results import BenchResult
 from repro.bench.runner import _best_time
 from repro.experiments.runner import nw_spec
-from repro.noise.engine import NoiseConfig, NoiseScanReport, run_noise_scan
+from repro.noise.engine import (
+    NoiseConfig,
+    NoiseScanReport,
+    run_noise_scan,
+    scan_checksum,
+)
 from repro.noise.sweep import SweepGrid, run_sweep, sweep_report_checksum
 from repro.pipeline.cache import PipelineCache, cached_extract
 
@@ -100,17 +105,6 @@ def _sequential_scan(grid: SweepGrid) -> List[NoiseScanReport]:
             )
         )
     return reports
-
-
-def _scan_checksum(reports: Sequence[NoiseScanReport]) -> str:
-    """Same digest formula as :func:`sweep_report_checksum`."""
-    peaks = np.concatenate(
-        [[v.effective_peak for v in report.victims] for report in reports]
-    )
-    escalated = np.concatenate(
-        [[float(v.escalated) for v in report.victims] for report in reports]
-    )
-    return array_checksum(peaks, escalated)
 
 
 def _assert_equivalent(
@@ -172,7 +166,7 @@ def run_sweep_suite(
             variant="sequential",
             size=size,
             seconds=sequential_seconds,
-            checksum=_scan_checksum(sequential),
+            checksum=scan_checksum(*sequential),
         ),
         BenchResult(
             kernel="noise_sweep_family",

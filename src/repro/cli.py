@@ -866,7 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="simulation shards per noise job (default: worker count)",
+        help="simulate items per circuit group of a noise or sweep job "
+        "(default: worker count)",
     )
     p_serve.add_argument(
         "--job-timeout",

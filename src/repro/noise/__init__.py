@@ -11,12 +11,13 @@ of the extraction / VPEC / simulation stack:
   the feasible overlap region, per-victim noise windows and margins;
 - :mod:`repro.noise.receiver` -- nonlinear receiver (holding-strength)
   models replacing the fixed quarter-supply failure criterion;
-- :mod:`repro.noise.engine` -- the tiered screen-then-simulate flow
-  producing a :class:`~repro.noise.engine.NoiseScanReport`;
+- :mod:`repro.noise.engine` -- the tiered screen-then-simulate flow,
+  planned over scenarios and producing
+  :class:`~repro.noise.engine.NoiseScanReport` objects;
 - :mod:`repro.noise.calibration` -- automated per-family refitting of
   the inductive screening envelope, with a loud conservatism check;
 - :mod:`repro.noise.sweep` -- design-space scenario families run as one
-  batched job with distribution-level reporting.
+  batched plan with distribution-level reporting.
 """
 
 from repro.noise.windows import (
@@ -40,6 +41,7 @@ from repro.noise.engine import (
     NoiseScanReport,
     VictimScanResult,
     run_noise_scan,
+    scan_checksum,
 )
 from repro.noise.calibration import (
     CalibrationError,
@@ -77,6 +79,7 @@ __all__ = [
     "resolve_threshold",
     "run_noise_scan",
     "run_sweep",
+    "scan_checksum",
     "screen_pairs",
     "sensitive_windows",
     "staggered_schedule",

@@ -1,7 +1,7 @@
 """The tiered screen-then-simulate static noise flow.
 
-:func:`run_noise_scan` treats every wire of a parasitic model as a
-victim and every other wire as a potential aggressor:
+Every wire of a parasitic model is a victim and every other wire a
+potential aggressor:
 
 1. **Screen** -- closed-form pair bounds (:mod:`repro.noise.screening`)
    plus worst-case alignment within each victim's sensitive window
@@ -9,29 +9,46 @@ victim and every other wire as a potential aggressor:
    below the failure threshold are *screened out* -- they can never
    fail, by conservatism of the bound -- and cost nothing further.
 2. **Simulate** -- each screened-in victim becomes one scenario column
-   of a single :func:`~repro.circuit.transient.transient_analysis_multi`
+   of a batched :func:`~repro.circuit.transient.transient_analysis_multi`
    call (its aligned aggressors launch at the alignment instant, every
-   other driver holds quiet), so the whole escalation tier shares one
-   MNA assembly and one LU factorization.
+   other driver holds quiet), so columns sharing a testbench circuit
+   share one MNA assembly and one LU factorization.
 
-The scan runs on any VPEC/wVPEC/PEEC model family via
-:class:`~repro.experiments.runner.ModelSpec`, memoizes whole reports in
-the content-addressed pipeline cache under kind ``"noise"``, and raises
-the :mod:`repro.health` taxonomy on numerical trouble.  ``verify=True``
-additionally re-simulates every escalated victim through the
-independent single-scenario path (a separately built model with the
-aggressor stimuli baked in at construction) and records the relative
-peak deviation -- the cross-check quoted in the acceptance gate.
+The flow is written once, as a plan over scenarios shaped like the
+hierarchical extractor's plan/execute split: :func:`screen_scenario` is
+one scenario's screen item, :func:`plan_simulations` groups the
+escalated columns of many scenarios into :class:`SimulateItem` work
+items by testbench circuit, :func:`simulate_escalated` runs one item,
+and :func:`assemble_plan` finishes every scenario's report.  Items are
+plain picklable data, so a runner may execute them inline, over the
+process pool, or on the service's workers:
+
+- :func:`run_noise_scan` is the one-scenario plan, run inline;
+- :func:`repro.noise.sweep.run_sweep` fans a scenario family's items
+  out over the pipeline pool;
+- :class:`repro.service.server.AnalysisService` schedules the items of
+  ``noise`` and ``sweep`` jobs on its workers.
+
+Scans run on any VPEC/wVPEC/PEEC model family via
+:class:`~repro.experiments.runner.ModelSpec`, memoize whole reports in
+the content-addressed pipeline cache under kind ``"noise"``, and raise
+the :mod:`repro.health` taxonomy on numerical trouble.  A scan's
+``verify=True`` additionally re-simulates every escalated victim
+through the independent single-scenario path (a separately built model
+with the aggressor stimuli baked in at construction) and records the
+relative peak deviation -- the cross-check quoted in the acceptance
+gate.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bench.results import array_checksum
 from repro.circuit.sources import Stimulus, dc, step
 from repro.circuit.transient import transient_analysis, transient_analysis_multi
 from repro.circuit.waveform import Waveform
@@ -64,7 +81,16 @@ from repro.pipeline.cache import (
     parasitics_fingerprint,
 )
 from repro.pipeline.hashing import stable_hash
-from repro.pipeline.profiling import add_counter, stage
+from repro.pipeline.profiling import StageProfile, add_counter, stage
+
+#: Column cap per batched transient call.  The per-step cost of a
+#: multi-RHS march is nearly flat up to this many columns (the LU
+#: triangular solves dominate), then grows superlinearly as the dense
+#: right-hand-side block stops fitting cache -- measured on the 64-bit
+#: bus: 8 columns cost ~1.05x of 4, but 64 columns cost ~13x.  Chunking
+#: keeps every call in the flat regime while still sharing one model
+#: build per simulate item.
+MAX_COLUMNS_PER_SIM = 24
 
 #: Transient-solve policy of iterative-solver noise scans: the sparse
 #: MNA systems of the escalated-victim tiers go through the
@@ -330,8 +356,8 @@ class ScreenTierResult:
     ``escalated`` the subset whose aligned bound meets the threshold
     (the victims the simulation tier must resolve), ``sensitive`` each
     wire's sensitive :class:`WindowSet`.  The whole object is picklable,
-    so a service worker can run the screen in one process and ship the
-    outcome to simulation shards in others.
+    so a worker can run the screen in one process and the planner can
+    ship its escalated columns to simulate items in others.
     """
 
     alignments: Tuple[Alignment, ...]
@@ -342,18 +368,20 @@ class ScreenTierResult:
 
 @dataclass(frozen=True)
 class EscalationTierResult:
-    """Output of one (possibly sharded) simulation-tier run.
+    """Output of one simulate item.
 
-    ``metrics`` maps victim wire -> (peak, area) over its sensitive
-    windows.  Shards simulated separately against the same ``t_stop``
-    merge by dict union: every scenario column is an independent RHS of
-    the shared factorization, so a shard's columns are bit-identical to
-    the same columns of one full batch.
+    ``metrics`` maps ``(owner, victim)`` -- the owning scenario's index
+    in the plan and the victim wire -- to (peak, area) over the victim's
+    sensitive windows.  Every column is an independent RHS of its
+    item's factorization, integrated on the fixed ``k * dt`` grid and
+    truncated to its owner's horizon, so results of items simulated
+    separately merge by dict union, bit-identical to one big batch.
     """
 
-    metrics: Dict[int, Tuple[float, float]]
+    metrics: Dict[Tuple[int, int], Tuple[float, float]]
     build_seconds: float
     sim_seconds: float
+    profile: Optional[StageProfile] = None
 
 
 def screen_tier(
@@ -398,11 +426,13 @@ def escalation_horizon(
     config: NoiseConfig,
     switching: Sequence[Window],
 ) -> float:
-    """Shared simulation end time of an escalation batch.
+    """A scenario's simulation end time: its latest aligned launch plus
+    rise and settle time.
 
-    Computed over the *whole* escalated set, never per shard: every
-    shard must integrate the same time grid for its masked metrics (and
-    hence checksums) to match the unsharded batch exactly.
+    Computed once over the scenario's *whole* escalated set: every
+    column of the scenario is truncated to this horizon, whichever
+    simulate item or chunk integrated it, so its masked metrics (and
+    hence checksums) never depend on how the plan split the work.
     """
     launches = [
         max(_launch_time(a.time, switching[agg]) for agg in a.aggressors)
@@ -411,55 +441,261 @@ def escalation_horizon(
     return max(launches) + config.rise_time + config.settle_time
 
 
-def simulate_escalated(
+@dataclass
+class ScreenedScenario:
+    """One planned scenario after its screen item.
+
+    Picklable, so screens run in any process and the planner regroups
+    the outcomes.  ``source`` is the runner's hashable handle to the
+    scenario's parasitics -- whatever its simulate items need to load
+    them again: a geometry spec in a sweep, a shared-memory segment name
+    in the service, ``None`` when the caller holds them.  ``report`` is
+    set when the pipeline cache already held the finished scan, and
+    ``key`` is the scan's cache key when a cache was given.
+    """
+
+    source: Any
+    spec: ModelSpec
+    config: NoiseConfig
+    switching: List[Window]
+    key: Optional[str] = None
+    report: Optional[NoiseScanReport] = None
+    screen: Optional[ScreenTierResult] = None
+    #: The scenario's own :func:`escalation_horizon` -- the exact
+    #: ``t_stop`` an independent scan would integrate to.
+    horizon: float = 0.0
+    #: Wall time of the screen item.
+    seconds: float = 0.0
+    #: Counters and stage times of a screen item run in another process.
+    profile: Optional[StageProfile] = None
+
+    @property
+    def circuit(self) -> Tuple:
+        """Scenarios sharing this key share one testbench circuit.
+
+        The circuit is fixed by the parasitics, the model spec and the
+        electrical knobs below; such scenarios differ only in their
+        stimulus columns, so their escalated victims merge into one
+        multi-RHS batch.
+        """
+        config = self.config
+        return (
+            self.source,
+            self.spec,
+            config.driver_resistance,
+            config.load_capacitance,
+            config.dt,
+            config.vdd,
+            config.rise_time,
+        )
+
+
+@dataclass(frozen=True)
+class EscalatedColumn:
+    """One escalated victim: a scenario column of a batched transient."""
+
+    #: Index of the owning scenario in the plan.
+    owner: int
+    victim: int
+    #: ``(aggressor wire, launch instant)`` of every aligned aggressor.
+    launches: Tuple[Tuple[int, float], ...]
+    sensitive: WindowSet
+    #: The owner's escalation horizon.
+    horizon: float
+
+
+@dataclass(frozen=True)
+class SimulateItem:
+    """Escalated columns sharing one testbench circuit: one work item.
+
+    ``config`` carries the circuit's electrical knobs (equal across the
+    owners, see :attr:`ScreenedScenario.circuit`).  Columns are sorted by
+    horizon, so each chunk of :meth:`chunks` integrates only as far as
+    its own latest owner needs.
+    """
+
+    source: Any
+    spec: ModelSpec
+    config: NoiseConfig
+    columns: Tuple[EscalatedColumn, ...]
+
+    def chunks(self) -> List[Tuple[EscalatedColumn, ...]]:
+        """The columns in runs of at most :data:`MAX_COLUMNS_PER_SIM`,
+        one :func:`transient_analysis_multi` call each."""
+        return [
+            self.columns[lo: lo + MAX_COLUMNS_PER_SIM]
+            for lo in range(0, len(self.columns), MAX_COLUMNS_PER_SIM)
+        ]
+
+
+def screen_scenario(
     parasitics: Parasitics,
     spec: ModelSpec,
     config: NoiseConfig,
-    switching: Sequence[Window],
-    sensitive: Sequence[WindowSet],
-    escalated: Sequence[Alignment],
-    t_stop: float,
+    switching: Optional[Sequence[Window]] = None,
+    cache: Optional[PipelineCache] = None,
+    verify: bool = False,
+    source: Any = None,
+) -> ScreenedScenario:
+    """The screen item of one planned scenario.
+
+    ``switching`` gives each wire's driver *launch* window; by default
+    the seeded scattered schedule of :func:`staggered_schedule`.  With a
+    cache, a stored report under the scan's key short-circuits the
+    scenario; otherwise the screen tier runs and fixes the scenario's
+    own escalation horizon.
+    """
+    start = time.perf_counter()
+    num_wires = parasitics.system.num_wires
+    if switching is None:
+        switching = staggered_schedule(
+            num_wires,
+            config.period,
+            config.switch_width,
+            seed=config.schedule_seed,
+        )
+    switching = list(switching)
+    if len(switching) != num_wires:
+        raise ValueError(
+            f"switching must have one window per wire ({num_wires}), "
+            f"got {len(switching)}"
+        )
+    screened = ScreenedScenario(source, spec, config, switching)
+    if cache is not None:
+        screened.key = noise_scan_key(
+            parasitics, spec, config, switching, verify
+        )
+        screened.report = cache.get("noise", screened.key)
+    if screened.report is None:
+        screened.screen = screen_tier(parasitics, config, switching)
+        if screened.screen.escalated:
+            screened.horizon = escalation_horizon(
+                screened.screen.escalated, config, switching
+            )
+    screened.seconds = time.perf_counter() - start
+    return screened
+
+
+def plan_simulations(
+    screened: Sequence[ScreenedScenario], parts: int = 1
+) -> List[SimulateItem]:
+    """Group the escalated columns of a plan into simulate items.
+
+    Columns group by testbench circuit in first-appearance order and
+    sort by ``(horizon, owner, victim)``, so the plan is deterministic.
+    Each group becomes ``parts`` items of contiguous columns (fewer when
+    it has fewer columns) -- the service's shards.  Scenarios answered
+    from the cache or fully screened out contribute no columns.
+    """
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    groups: Dict[Tuple, List[EscalatedColumn]] = {}
+    firsts: Dict[Tuple, ScreenedScenario] = {}
+    for owner, scenario in enumerate(screened):
+        if scenario.screen is None or not scenario.screen.escalated:
+            continue
+        circuit = scenario.circuit
+        firsts.setdefault(circuit, scenario)
+        columns = groups.setdefault(circuit, [])
+        for a in scenario.screen.escalated:
+            columns.append(
+                EscalatedColumn(
+                    owner=owner,
+                    victim=a.victim,
+                    launches=tuple(
+                        (agg, _launch_time(a.time, scenario.switching[agg]))
+                        for agg in a.aggressors
+                    ),
+                    sensitive=scenario.screen.sensitive[a.victim],
+                    horizon=scenario.horizon,
+                )
+            )
+    items: List[SimulateItem] = []
+    for circuit, columns in groups.items():
+        columns.sort(key=lambda c: (c.horizon, c.owner, c.victim))
+        first = firsts[circuit]
+        for part in np.array_split(
+            np.arange(len(columns)), min(parts, len(columns))
+        ):
+            items.append(
+                SimulateItem(
+                    source=first.source,
+                    spec=first.spec,
+                    config=first.config,
+                    columns=tuple(columns[i] for i in part),
+                )
+            )
+    return items
+
+
+def _truncated(waveform: Waveform, horizon: float, dt: float) -> Waveform:
+    """The waveform an independent scan at ``horizon`` would produce.
+
+    The integrator's grid is ``arange(steps + 1) * dt`` -- sample times
+    are exact multiples of ``dt`` independent of ``t_stop`` -- and time
+    marching is forward-only, so the first samples of a longer batch
+    are bit-identical to a shorter run's.  Truncating the shared-batch
+    waveform to the owner's own step count therefore reproduces the
+    independent scan exactly.
+    """
+    steps = int(np.ceil(horizon / dt))
+    return Waveform(t=waveform.t[: steps + 1], v=waveform.v[: steps + 1])
+
+
+def simulate_escalated(
+    parasitics: Parasitics,
+    item: SimulateItem,
     policy: Optional[FallbackPolicy] = None,
     cache: Optional[PipelineCache] = None,
 ) -> EscalationTierResult:
-    """Tier 2: one batched simulation, one scenario column per victim.
+    """Tier 2: run one simulate item on one model build.
 
-    ``escalated`` may be any subset of the screen tier's escalated set
-    (a service shard); pass the full set's :func:`escalation_horizon`
-    as ``t_stop`` so shards share one time grid.
+    Each chunk of :meth:`SimulateItem.chunks` is one
+    :func:`~repro.circuit.transient.transient_analysis_multi` call
+    integrated to the chunk's latest horizon; each column's waveform is
+    truncated back to its owner's horizon before its metrics are taken.
+    A ``solver="iterative"`` spec runs the transients on the
+    iterative-first tier unless ``policy`` overrides it.
     """
-    built = build_model(spec, parasitics, cache=cache)
+    config = item.config
+    built = build_model(item.spec, parasitics, cache=cache)
     attach_quiet_bus_testbench(
         built.skeleton, config.driver_resistance, config.load_capacitance
     )
-    scenarios = []
-    for a in escalated:
-        scenarios.append(
+    ports = built.skeleton.ports
+    metrics: Dict[Tuple[int, int], Tuple[float, float]] = {}
+    sim_seconds = 0.0
+    for chunk in item.chunks():
+        scenarios = [
             {
                 f"Vdrv{agg}": step(
-                    config.vdd,
-                    rise_time=config.rise_time,
-                    delay=_launch_time(a.time, switching[agg]),
+                    config.vdd, rise_time=config.rise_time, delay=delay
                 )
-                for agg in a.aggressors
+                for agg, delay in column.launches
             }
-        )
-    probes = sorted({built.skeleton.ports[a.victim].far for a in escalated})
-    sim_start = time.perf_counter()
-    with stage("noise_escalation"):
-        results = transient_analysis_multi(
-            built.circuit,
-            t_stop,
-            config.dt,
-            scenarios,
-            probe_nodes=probes,
-            policy=_transient_policy(spec, policy),
-        )
-    sim_seconds = time.perf_counter() - sim_start
-    metrics: Dict[int, Tuple[float, float]] = {}
-    for a, result in zip(escalated, results):
-        waveform = result.voltage(built.skeleton.ports[a.victim].far)
-        metrics[a.victim] = _masked_metrics(waveform, sensitive[a.victim])
+            for column in chunk
+        ]
+        probes = sorted({ports[column.victim].far for column in chunk})
+        sim_start = time.perf_counter()
+        with stage("noise_escalation"):
+            results = transient_analysis_multi(
+                built.circuit,
+                max(column.horizon for column in chunk),
+                config.dt,
+                scenarios,
+                probe_nodes=probes,
+                policy=_transient_policy(item.spec, policy),
+            )
+        sim_seconds += time.perf_counter() - sim_start
+        for column, result in zip(chunk, results):
+            waveform = _truncated(
+                result.voltage(ports[column.victim].far),
+                column.horizon,
+                config.dt,
+            )
+            metrics[(column.owner, column.victim)] = _masked_metrics(
+                waveform, column.sensitive
+            )
     return EscalationTierResult(
         metrics=metrics,
         build_seconds=built.build_seconds,
@@ -479,7 +715,8 @@ def assemble_report(
     """Merge screen-tier alignments and simulated metrics into a report.
 
     ``metrics`` must cover exactly the escalated victims (the union of
-    all shards); screened-out victims keep their closed-form bounds.
+    all simulate items); screened-out victims keep their closed-form
+    bounds.
     """
     victims: Dict[int, VictimScanResult] = {
         a.victim: VictimScanResult(
@@ -529,6 +766,61 @@ def noise_scan_key(
     )
 
 
+def assemble_plan(
+    screened: Sequence[ScreenedScenario],
+    tiers: Sequence[EscalationTierResult],
+    cache: Optional[PipelineCache] = None,
+) -> List[NoiseScanReport]:
+    """Finish every scenario of a plan, in plan order.
+
+    Merges each scenario's screen bounds with its columns' metrics from
+    ``tiers`` (the results of the plan's simulate items, in any order)
+    and stores the report under the scenario's scan key -- the key
+    :func:`run_noise_scan` looks up, so a later scan of the same
+    scenario is a cache hit.  A scenario's build and simulation seconds
+    sum over the items that simulated any of its columns.
+    """
+    metrics: List[Dict[int, Tuple[float, float]]] = [{} for _ in screened]
+    build_seconds = [0.0] * len(screened)
+    sim_seconds = [0.0] * len(screened)
+    for tier in tiers:
+        for owner in {owner for owner, _ in tier.metrics}:
+            build_seconds[owner] += tier.build_seconds
+            sim_seconds[owner] += tier.sim_seconds
+        for (owner, victim), values in tier.metrics.items():
+            metrics[owner][victim] = values
+    reports: List[NoiseScanReport] = []
+    for owner, scenario in enumerate(screened):
+        report = scenario.report
+        if report is None:
+            assert scenario.screen is not None
+            report = assemble_report(
+                scenario.spec,
+                scenario.config,
+                scenario.switching,
+                scenario.screen,
+                metrics[owner],
+                build_seconds[owner],
+                sim_seconds[owner],
+            )
+            if cache is not None and scenario.key is not None:
+                cache.put("noise", scenario.key, report)
+        reports.append(report)
+    return reports
+
+
+def scan_checksum(*reports: NoiseScanReport) -> str:
+    """Digest of per-victim effective peaks and escalation decisions.
+
+    Concatenates the reports in order, so one report gives a scan's
+    checksum and a sweep's scenarios in grid order give the sweep's.
+    """
+    victims = [v for report in reports for v in report.victims]
+    peaks = np.array([v.effective_peak for v in victims])
+    escalated = np.array([float(v.escalated) for v in victims])
+    return array_checksum(peaks, escalated)
+
+
 def run_noise_scan(
     parasitics: Parasitics,
     spec: Optional[ModelSpec] = None,
@@ -540,96 +832,42 @@ def run_noise_scan(
 ) -> NoiseScanReport:
     """Scan every victim of a parasitic model under timing windows.
 
-    ``switching`` gives each wire's driver *launch* window; by default
-    the seeded scattered schedule of :func:`staggered_schedule`.  The
-    feasibility/alignment algebra widens each launch window by the
-    wire's Elmore delay plus slew (the output keeps transitioning after
-    the input settles); the simulated realization launches each aligned
-    aggressor at the alignment instant clamped into its own launch
-    window.
+    The one-scenario plan, run inline.  ``switching`` gives each wire's
+    driver *launch* window; by default the seeded scattered schedule of
+    :func:`staggered_schedule`.  The feasibility/alignment algebra
+    widens each launch window by the wire's Elmore delay plus slew (the
+    output keeps transitioning after the input settles); the simulated
+    realization launches each aligned aggressor at the alignment instant
+    clamped into its own launch window.
     """
     parasitics.validate()
     spec = spec if spec is not None else gw_spec(8)
-    num_wires = parasitics.system.num_wires
-    if switching is None:
-        switching = staggered_schedule(
-            num_wires,
-            config.period,
-            config.switch_width,
-            seed=config.schedule_seed,
-        )
-    switching = list(switching)
-    if len(switching) != num_wires:
-        raise ValueError(
-            f"switching must have one window per wire ({num_wires}), "
-            f"got {len(switching)}"
-        )
-
-    if cache is not None:
-        key = noise_scan_key(parasitics, spec, config, switching, verify)
-        return cache.fetch(
-            "noise",
-            key,
-            lambda: _run_noise_scan_cold(
-                parasitics, spec, config, switching, policy, verify, cache
-            ),
-        )
-    return _run_noise_scan_cold(
-        parasitics, spec, config, switching, policy, verify, None
+    screened = screen_scenario(
+        parasitics, spec, config, switching, cache=cache, verify=verify
     )
-
-
-def _run_noise_scan_cold(
-    parasitics: Parasitics,
-    spec: ModelSpec,
-    config: NoiseConfig,
-    switching: List[Window],
-    policy: Optional[FallbackPolicy],
-    verify: bool,
-    cache: Optional[PipelineCache],
-) -> NoiseScanReport:
-    # --- Tier 1: closed-form screen + worst-case alignment. ---
-    screen = screen_tier(parasitics, config, switching)
-    escalated = screen.escalated
-
-    metrics: Dict[int, Tuple[float, float]] = {}
-    build_seconds = 0.0
-    sim_seconds = 0.0
-    t_stop = 0.0
-    if escalated:
-        # --- Tier 2: one batched simulation, one scenario per victim. ---
-        t_stop = escalation_horizon(escalated, config, switching)
-        tier = simulate_escalated(
-            parasitics,
-            spec,
-            config,
-            switching,
-            screen.sensitive,
-            escalated,
-            t_stop,
-            policy=policy,
-            cache=cache,
-        )
-        metrics = tier.metrics
-        build_seconds = tier.build_seconds
-        sim_seconds = tier.sim_seconds
-
-    report = assemble_report(
-        spec, config, switching, screen, metrics, build_seconds, sim_seconds
-    )
-    if verify and escalated:
+    if screened.report is not None:
+        return screened.report
+    tiers = [
+        simulate_escalated(parasitics, item, policy=policy, cache=cache)
+        for item in plan_simulations([screened])
+    ]
+    [report] = assemble_plan([screened], tiers)
+    assert screened.screen is not None
+    if verify and screened.screen.escalated:
         by_victim = {v.wire: i for i, v in enumerate(report.victims)}
-        for a in escalated:
+        for a in screened.screen.escalated:
             index = by_victim[a.victim]
             deviation = _verify_victim(
-                parasitics, spec, config, switching,
-                screen.sensitive[a.victim],
-                a, report.victims[index].sim_peak or 0.0, t_stop, policy,
-                cache,
+                parasitics, spec, config, screened.switching,
+                screened.screen.sensitive[a.victim],
+                a, report.victims[index].sim_peak or 0.0, screened.horizon,
+                policy, cache,
             )
             report.victims[index] = replace(
                 report.victims[index], verify_deviation=deviation
             )
+    if cache is not None and screened.key is not None:
+        cache.put("noise", screened.key, report)
     return report
 
 

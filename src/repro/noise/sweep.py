@@ -4,18 +4,21 @@ The tiered scan of :mod:`repro.noise.engine` signs off *one* bus.  A
 methodology signs off a *family*: bus widths x wire widths x spacings x
 driver strengths x switching-schedule densities x topology.  This
 module expands a declarative :class:`SweepGrid` into content-keyed
-:class:`Scenario` objects and runs them as one batched job through the
-existing pipeline plumbing:
+:class:`Scenario` objects and runs them as one batched job -- the noise
+plan of :mod:`repro.noise.engine`, of which a one-shot scan is the
+one-scenario case -- through the existing pipeline plumbing:
 
-- each scenario is a picklable work item fanned out over the process
-  pool via :func:`repro.experiments.jobs.fan_out` (results in grid
-  order, profiles merged);
+- each scenario's screen item and each simulate item is a picklable
+  work item fanned out over the process pool via
+  :func:`repro.experiments.jobs.fan_out` (results in plan order,
+  profiles merged);
 - extraction, model building, and whole noise reports flow through the
   shared content-addressed :class:`~repro.pipeline.cache.PipelineCache`,
   so scenarios that differ only in electrical knobs (driver strength,
   schedule density) share one extraction and one model build;
 - scenarios that share a testbench circuit (same geometry, driver,
-  supply, time step) merge their escalated victims into shared
+  supply, time step) merge their escalated victims into one simulate
+  item, run as shared
   :func:`~repro.circuit.transient.transient_analysis_multi` batches --
   the per-step cost of a multi-RHS march is nearly flat in the column
   count, so merging k near-boundary scenarios into one call costs
@@ -43,27 +46,23 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bench.results import array_checksum
-from repro.circuit.sources import step
-from repro.circuit.transient import transient_analysis_multi
-from repro.circuit.waveform import Waveform
 from repro.constants import DRIVER_RESISTANCE
 from repro.experiments.jobs import GeometrySpec, fan_out, geometry_spec
-from repro.experiments.runner import ModelSpec, build_model
+from repro.experiments.runner import ModelSpec
 from repro.health import FallbackPolicy
 from repro.noise.engine import (
+    MAX_COLUMNS_PER_SIM,  # noqa: F401 - the cap sweeps batch under
+    EscalationTierResult,
     NoiseConfig,
     NoiseScanReport,
-    ScreenTierResult,
-    _launch_time,
-    _masked_metrics,
-    assemble_report,
-    attach_quiet_bus_testbench,
-    escalation_horizon,
-    noise_scan_key,
-    screen_tier,
+    ScreenedScenario,
+    SimulateItem,
+    assemble_plan,
+    plan_simulations,
+    scan_checksum,
+    screen_scenario,
+    simulate_escalated,
 )
-from repro.noise.windows import Window, staggered_schedule
 from repro.pipeline.cache import PipelineCache, cached_extract
 from repro.pipeline.profiling import StageProfile, add_counter, collect, stage
 
@@ -78,16 +77,6 @@ ESCALATION_BINS = tuple(np.round(np.linspace(0.0, 1.0, 11), 2))
 #: Screen-conservatism (screen bound / simulated peak) bin edges.  The
 #: first bin catches would-be non-conservative victims (< 1).
 CONSERVATISM_BINS = (0.0, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, float("inf"))
-
-#: Column cap per batched transient call.  The per-step cost of a
-#: multi-RHS march is nearly flat up to this many columns (the LU
-#: triangular solves dominate), then grows superlinearly as the dense
-#: right-hand-side block stops fitting cache -- measured on the 64-bit
-#: bus: 8 columns cost ~1.05x of 4, but 64 columns cost ~13x.  Sharding
-#: keeps every call in the flat regime while still sharing one model
-#: build per group.
-MAX_COLUMNS_PER_SIM = 24
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -235,218 +224,6 @@ class ScenarioResult:
     @property
     def min_margin(self) -> float:
         return min(self.report.margin(v) for v in self.report.victims)
-
-
-@dataclass
-class _ScreenedScenario:
-    """Phase-A output: one scenario screened, not yet simulated.
-
-    Fully picklable, so the screen fans out over the pool and the
-    parent regroups the outcomes for the batched simulation phase.
-    ``report`` is set when the content-addressed cache already holds
-    the scenario's finished scan (nothing left to simulate).
-    """
-
-    scenario: Scenario
-    config: NoiseConfig
-    switching: List[Window]
-    key: Optional[str]
-    report: Optional[NoiseScanReport] = None
-    screen: Optional[ScreenTierResult] = None
-    #: The scenario's *own* escalation horizon -- the exact ``t_stop``
-    #: an independent scan would integrate to.
-    horizon: float = 0.0
-    seconds: float = 0.0
-    profile: Optional[StageProfile] = None
-
-
-def _screen_scenario(
-    scenario: Scenario,
-    base: NoiseConfig,
-    model: ModelSpec,
-    cache: Optional[PipelineCache],
-) -> _ScreenedScenario:
-    """Phase A: extract (cached), check the scan cache, screen."""
-    start = time.perf_counter()
-    with collect() as profile:
-        parasitics = cached_extract(scenario.geometry().build(), cache=cache)
-        config = scenario.config(base)
-        switching = list(
-            staggered_schedule(
-                parasitics.system.num_wires,
-                config.period,
-                config.switch_width,
-                seed=config.schedule_seed,
-            )
-        )
-        key: Optional[str] = None
-        if cache is not None:
-            key = noise_scan_key(parasitics, model, config, switching, False)
-            cached = cache.get("noise", key)
-            if cached is not None:
-                return _ScreenedScenario(
-                    scenario=scenario,
-                    config=config,
-                    switching=switching,
-                    key=key,
-                    report=cached,
-                    seconds=time.perf_counter() - start,
-                    profile=profile,
-                )
-        screen = screen_tier(parasitics, config, switching)
-        horizon = (
-            escalation_horizon(screen.escalated, config, switching)
-            if screen.escalated
-            else 0.0
-        )
-    return _ScreenedScenario(
-        scenario=scenario,
-        config=config,
-        switching=switching,
-        key=key,
-        screen=screen,
-        horizon=horizon,
-        seconds=time.perf_counter() - start,
-        profile=profile,
-    )
-
-
-def _group_key(item: _ScreenedScenario) -> Tuple:
-    """Scenarios sharing this key share one circuit and one LU.
-
-    The testbench circuit is fixed by the geometry, the model spec, and
-    the electrical knobs below; such scenarios differ only in their
-    stimulus columns, so their escalated victims merge into one
-    multi-RHS batch.
-    """
-    return (
-        item.scenario.geometry(),
-        item.config.driver_resistance,
-        item.config.load_capacitance,
-        item.config.dt,
-        item.config.vdd,
-        item.config.rise_time,
-    )
-
-
-def _truncated(waveform: Waveform, horizon: float, dt: float) -> Waveform:
-    """The waveform an independent scan at ``horizon`` would produce.
-
-    The integrator's grid is ``arange(steps + 1) * dt`` -- sample times
-    are exact multiples of ``dt`` independent of ``t_stop`` -- and time
-    marching is forward-only, so the first samples of a longer batch
-    are bit-identical to a shorter run's.  Truncating the shared-batch
-    waveform to the scenario's own step count therefore reproduces the
-    independent scan exactly.
-    """
-    steps = int(np.ceil(horizon / dt))
-    return Waveform(t=waveform.t[: steps + 1], v=waveform.v[: steps + 1])
-
-
-def _simulate_group(
-    group: List[_ScreenedScenario],
-    model: ModelSpec,
-    cache: Optional[PipelineCache],
-    policy: Optional[FallbackPolicy] = None,
-) -> "_GroupResult":
-    """Phase B: batched multi-RHS simulation for a whole group.
-
-    Every scenario contributes one column per escalated victim; the
-    whole group shares one model build and one testbench circuit.
-    Columns are sorted by scenario horizon and sharded into chunks of
-    at most :data:`MAX_COLUMNS_PER_SIM`, each chunk one
-    :func:`~repro.circuit.transient.transient_analysis_multi` call
-    integrated only to its own largest horizon -- short scenarios never
-    pay for the group's longest, and every call stays in the flat
-    per-step cost regime.  Each scenario's metrics are taken on
-    waveforms truncated back to its own horizon, so merged results stay
-    bit-identical to independent scans.
-    """
-    with collect() as profile:
-        first = group[0]
-        parasitics = cached_extract(
-            first.scenario.geometry().build(), cache=cache
-        )
-        built = build_model(model, parasitics, cache=cache)
-        attach_quiet_bus_testbench(
-            built.skeleton,
-            first.config.driver_resistance,
-            first.config.load_capacitance,
-        )
-        scenarios_cols: List[Dict[str, object]] = []
-        owners: List[Tuple[int, int]] = []
-        for index, item in enumerate(group):
-            assert item.screen is not None
-            for a in item.screen.escalated:
-                scenarios_cols.append(
-                    {
-                        f"Vdrv{agg}": step(
-                            item.config.vdd,
-                            rise_time=item.config.rise_time,
-                            delay=_launch_time(a.time, item.switching[agg]),
-                        )
-                        for agg in a.aggressors
-                    }
-                )
-                owners.append((index, a.victim))
-        add_counter("noise_sweep_batched_columns", len(scenarios_cols))
-        # Shard by ascending horizon: deterministic, and chunks of
-        # short-horizon columns integrate fewer steps.
-        order = sorted(
-            range(len(owners)),
-            key=lambda i: (group[owners[i][0]].horizon, owners[i]),
-        )
-        chunks = [
-            order[lo: lo + MAX_COLUMNS_PER_SIM]
-            for lo in range(0, len(order), MAX_COLUMNS_PER_SIM)
-        ]
-        add_counter("noise_sweep_sim_calls", len(chunks))
-        sim_seconds = 0.0
-        metrics: List[Dict[int, Tuple[float, float]]] = [{} for _ in group]
-        for chunk in chunks:
-            t_stop = max(group[owners[i][0]].horizon for i in chunk)
-            probes = sorted(
-                {built.skeleton.ports[owners[i][1]].far for i in chunk}
-            )
-            sim_start = time.perf_counter()
-            with stage("noise_escalation"):
-                results = transient_analysis_multi(
-                    built.circuit,
-                    t_stop,
-                    first.config.dt,
-                    [scenarios_cols[i] for i in chunk],
-                    probe_nodes=probes,
-                    policy=policy,
-                )
-            sim_seconds += time.perf_counter() - sim_start
-            for i, result in zip(chunk, results):
-                index, victim = owners[i]
-                item = group[index]
-                assert item.screen is not None
-                waveform = _truncated(
-                    result.voltage(built.skeleton.ports[victim].far),
-                    item.horizon,
-                    item.config.dt,
-                )
-                metrics[index][victim] = _masked_metrics(
-                    waveform, item.screen.sensitive[victim]
-                )
-    return _GroupResult(
-        metrics=metrics,
-        build_seconds=built.build_seconds,
-        sim_seconds=sim_seconds,
-        profile=profile,
-    )
-
-
-@dataclass
-class _GroupResult:
-    """Phase-B output: per-scenario metrics of one batched group."""
-
-    metrics: List[Dict[int, Tuple[float, float]]]
-    build_seconds: float
-    sim_seconds: float
-    profile: Optional[StageProfile] = None
 
 
 @dataclass
@@ -613,98 +390,45 @@ class SweepReport:
 def sweep_report_checksum(report: SweepReport) -> str:
     """Digest pinning every scenario's per-victim peaks and decisions.
 
-    Concatenates effective peaks and escalation flags in grid order --
-    the sweep-level analogue of the service's per-scan checksum, used
-    by the bench trajectory and the service equivalence assertions.
+    The :func:`~repro.noise.engine.scan_checksum` of the scenarios'
+    reports in grid order, so a one-scenario sweep hashes like its scan.
     """
-    peaks = np.concatenate(
-        [
-            [v.effective_peak for v in r.report.victims]
-            for r in report.results
-        ]
-    )
-    escalated = np.concatenate(
-        [
-            [float(v.escalated) for v in r.report.victims]
-            for r in report.results
-        ]
-    )
-    return array_checksum(peaks, escalated)
+    return scan_checksum(*(r.report for r in report.results))
 
 
-def group_unresolved(
-    screened: List[_ScreenedScenario],
-) -> List[List[_ScreenedScenario]]:
-    """Group cache-missed, escalating scenarios by simulation key.
-
-    Scenarios resolved by the cache or fully screened out need no
-    simulation and appear in no group.  Group order is deterministic:
-    first appearance in ``screened`` (grid) order.
-    """
-    groups: Dict[Tuple, List[_ScreenedScenario]] = {}
-    for item in screened:
-        if item.report is None and item.screen and item.screen.escalated:
-            groups.setdefault(_group_key(item), []).append(item)
-    return list(groups.values())
-
-
-def assemble_sweep_results(
-    grid: SweepGrid,
-    screened: List[_ScreenedScenario],
-    group_list: List[List[_ScreenedScenario]],
-    group_results: List[_GroupResult],
-    cache: Optional[PipelineCache] = None,
-) -> List[ScenarioResult]:
-    """Phase C: merge screen bounds and batched metrics, fill the cache.
-
-    Reports are stored under the exact key
-    :func:`~repro.noise.engine.run_noise_scan` uses, so a later
-    independent scan of any grid point is a cache hit.  Results come
-    back in ``screened`` (grid) order.
-    """
-    metrics_of = {
-        id(item): (group_result.metrics[index], group_result)
-        for group, group_result in zip(group_list, group_results)
-        for index, item in enumerate(group)
-    }
-    results: List[ScenarioResult] = []
-    for item in screened:
-        if item.report is not None:
-            results.append(
-                ScenarioResult(
-                    scenario=item.scenario,
-                    report=item.report,
-                    seconds=item.seconds,
-                )
-            )
-            continue
-        assert item.screen is not None
-        metrics: Dict[int, Tuple[float, float]] = {}
-        build_seconds = 0.0
-        sim_seconds = 0.0
-        if id(item) in metrics_of:
-            metrics, group_result = metrics_of[id(item)]
-            build_seconds = group_result.build_seconds
-            sim_seconds = group_result.sim_seconds
-        report = assemble_report(
-            grid.model,
-            item.config,
-            item.switching,
-            item.screen,
-            metrics,
-            build_seconds,
-            sim_seconds,
+def _screen_point(
+    scenario: Scenario,
+    base: NoiseConfig,
+    model: ModelSpec,
+    cache: Optional[PipelineCache],
+) -> ScreenedScenario:
+    """One scenario's screen item: extract through the cache, screen."""
+    start = time.perf_counter()
+    geometry = scenario.geometry()
+    with collect() as profile:
+        parasitics = cached_extract(geometry.build(), cache=cache)
+        screened = screen_scenario(
+            parasitics,
+            model,
+            scenario.config(base),
+            cache=cache,
+            source=geometry,
         )
-        if cache is not None and item.key is not None:
-            cache.put("noise", item.key, report)
-        results.append(
-            ScenarioResult(
-                scenario=item.scenario,
-                report=report,
-                seconds=item.seconds,
-            )
-        )
-    return results
+    screened.seconds = time.perf_counter() - start
+    screened.profile = profile
+    return screened
+
+
+def _simulate_item(
+    item: SimulateItem,
+    cache: Optional[PipelineCache],
+    policy: Optional[FallbackPolicy],
+) -> EscalationTierResult:
+    """One simulate item, on parasitics loaded from its geometry."""
+    with collect() as profile:
+        parasitics = cached_extract(item.source.build(), cache=cache)
+        tier = simulate_escalated(parasitics, item, policy=policy, cache=cache)
+    return replace(tier, profile=profile)
 
 
 def run_sweep(
@@ -715,17 +439,17 @@ def run_sweep(
 ) -> SweepReport:
     """Run a whole scenario family as one batched job.
 
-    Three phases:
+    The noise plan of :mod:`repro.noise.engine` over the grid:
 
     1. **Screen** -- every scenario fans out over the process pool:
        extraction through the shared cache (scenarios differing only in
        electrical knobs share one entry), cached-scan short-circuit,
        then the closed-form screen tier.
-    2. **Simulate** -- unresolved scenarios regroup by simulation
-       compatibility (same geometry, model, driver, supply, step): each
-       group's escalated victims become columns of *one*
-       :func:`~repro.circuit.transient.transient_analysis_multi` call
-       sharing a single MNA assembly and LU factorization.  Waveforms
+    2. **Simulate** -- escalated victims regroup by testbench circuit
+       (same geometry, model, driver, supply, step): each group is one
+       simulate item whose columns share a single model build, MNA
+       assembly and LU factorization, in chunks of at most
+       :data:`~repro.noise.engine.MAX_COLUMNS_PER_SIM`.  Waveforms
        truncate back to each scenario's own horizon, so results are
        bit-identical to independent per-scenario scans.
     3. **Assemble** -- per-scenario reports merge screen bounds and
@@ -739,28 +463,38 @@ def run_sweep(
     scenarios = grid.scenarios()
     start = time.perf_counter()
     with stage("noise_sweep"):
-        screen_worker = functools.partial(
-            _screen_scenario, base=grid.base, model=grid.model, cache=cache
+        screened = fan_out(
+            functools.partial(
+                _screen_point, base=grid.base, model=grid.model, cache=cache
+            ),
+            scenarios,
+            parallel=parallel,
         )
-        screened = fan_out(screen_worker, scenarios, parallel=parallel)
         add_counter(
             "noise_sweep_cache_hits",
             sum(1 for item in screened if item.report is not None),
         )
-
-        # Group the unresolved scenarios by simulation compatibility.
-        group_list = group_unresolved(screened)
-        add_counter("noise_sweep_sim_groups", len(group_list))
-        sim_worker = functools.partial(
-            _simulate_group, model=grid.model, cache=cache, policy=policy
+        items = plan_simulations(screened)
+        add_counter("noise_sweep_sim_groups", len(items))
+        add_counter(
+            "noise_sweep_batched_columns",
+            sum(len(item.columns) for item in items),
         )
-        group_results = fan_out(sim_worker, group_list, parallel=parallel)
-        results = assemble_sweep_results(
-            grid, screened, group_list, group_results, cache=cache
+        add_counter(
+            "noise_sweep_sim_calls", sum(len(item.chunks()) for item in items)
         )
+        tiers = fan_out(
+            functools.partial(_simulate_item, cache=cache, policy=policy),
+            items,
+            parallel=parallel,
+        )
+        reports = assemble_plan(screened, tiers, cache=cache)
     add_counter("noise_sweep_scenarios", len(scenarios))
     return SweepReport(
         grid=grid,
-        results=results,
+        results=[
+            ScenarioResult(scenario, report, item.seconds)
+            for scenario, item, report in zip(scenarios, screened, reports)
+        ],
         seconds=time.perf_counter() - start,
     )

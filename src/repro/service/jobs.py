@@ -75,6 +75,12 @@ class GeometrySpec:
         if self.size < 1:
             raise ValueError("geometry size must be >= 1")
 
+    @property
+    def label(self) -> str:
+        """Short display name, e.g. ``bus8`` or ``nonaligned_bus16_g4``."""
+        suffix = f"_g{self.segments}" if self.segments != 1 else ""
+        return f"{self.kind}{self.size}{suffix}"
+
     def build(self) -> FilamentSystem:
         if self.kind == "bus":
             return aligned_bus(self.size, segments_per_line=self.segments)
@@ -284,8 +290,8 @@ class JobRecord:
     result: Optional[Dict[str, Any]] = None
     checksum: Optional[str] = None
     error: Optional[Dict[str, str]] = None
-    #: Set by :meth:`request_cancel`; the execution path checks it at
-    #: stage boundaries (between extract / screen / simulation shards).
+    #: Set by :meth:`request_cancel`; the execution path checks it
+    #: between work items (extract, screen, simulate).
     cancel_requested: bool = False
     #: True when the result came from the service's content-addressed
     #: result memo instead of a fresh computation.

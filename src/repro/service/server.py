@@ -10,27 +10,27 @@ engine over a worker executor:
 - **Shared-memory model cache**: the first job touching a geometry
   extracts it (in a worker) and publishes the parasitics into the
   :class:`~repro.service.shm.SharedParasiticsStore`; every later job
-  -- and every simulation shard -- attaches zero-copy.  Extraction is
+  -- and every simulate item -- attaches zero-copy.  Extraction is
   single-flighted per geometry key, so a burst of identical requests
   costs one extraction.
-- **Sharding**: a noise job runs its screen tier as one work item,
-  then partitions the escalated victims across the pool
-  (:func:`~repro.service.workers.shard_alignments`), every shard
-  simulating against the same global horizon so the merged report is
-  bit-identical to the one-shot scan.
-- **Sweep jobs** carry a whole design-space grid
-  (:class:`~repro.noise.sweep.SweepGrid`): scenarios screen in grid
-  order with one streamed progress event each, compatibility groups
-  batch-simulate through the sweep engine's multi-RHS path, and the
-  merged :class:`~repro.noise.sweep.SweepReport` payload is
-  checksum-identical to ``repro noise sweep``.
+- **One noise plan for noise and sweep jobs**: both run the plan of
+  :mod:`repro.noise.engine` -- a noise job is its one-scenario case.
+  Each scenario is published to shared memory and screened as one work
+  item, in order (one streamed ``screen`` progress event each); the
+  escalated victims then group by testbench circuit, each group split
+  into :meth:`ServiceConfig.shard_count` simulate items dispatched to
+  the pool together (one ``simulate`` event each).  Every column is
+  truncated to its own scenario's horizon, so the merged reports are
+  bit-identical to the one-shot scan and ``repro noise sweep``.
 - **Result memo**: finished results are memoized by request content
   key -- a repeated request is answered from memory with its original
   checksum.
-- **Cancellation and timeouts**: cancel flags are honored at stage
-  boundaries (queued, pre-extract, post-screen, around shard
-  dispatch); each job runs under ``asyncio.wait_for`` with a per-job
-  or service-default timeout.  Worker failures surface through the
+- **Cancellation and timeouts**: cancel flags are honored between
+  work items (while queued, before every extract and screen item,
+  before the simulate items are dispatched, and as each one finishes
+  -- simulate items the pool has not started are then dropped); each
+  job runs under ``asyncio.wait_for`` with a per-job or
+  service-default timeout.  Worker failures surface through the
   :mod:`repro.health` taxonomy: the typed exception's class name is
   reported in the job's ``error["kind"]``.
 
@@ -47,17 +47,20 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
+from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple
 
 from repro.extraction.capacitance import CapacitanceModel
 from repro.extraction.constants import COPPER_RESISTIVITY
+from repro.experiments.runner import ModelSpec
 from repro.health.errors import NumericalHealthError
-from repro.noise.engine import assemble_report, escalation_horizon
-from repro.noise.sweep import (
-    SweepReport,
-    assemble_sweep_results,
-    group_unresolved,
+from repro.noise.engine import (
+    NoiseConfig,
+    NoiseScanReport,
+    ScreenedScenario,
+    assemble_plan,
+    plan_simulations,
 )
+from repro.noise.sweep import ScenarioResult, SweepReport
 from repro.pipeline.cache import parasitics_key
 from repro.pipeline.parallel import default_jobs
 from repro.service import workers as _workers
@@ -88,7 +91,8 @@ class ServiceConfig:
     #: work items on threads in-process (no pool start-up cost, the
     #: natural mode for tests and single-core machines).
     jobs: Optional[int] = None
-    #: Simulation shards per noise job (default: the worker count).
+    #: Simulate items each circuit group of a noise or sweep job is
+    #: split into (default: the worker count).
     shards: Optional[int] = None
     #: Disk cache root for extraction / model artifacts (``None``
     #: disables the disk tier; shared memory still caches parasitics).
@@ -348,22 +352,23 @@ class AnalysisService:
                 return
             await self._finish(record, DONE, result=record.result)
 
-    def _parasitics_key(self, request: JobRequest) -> str:
+    def _parasitics_key(self, geometry: Any) -> str:
         """The disk-cache key of this geometry's default extraction."""
-        assert request.geometry is not None
         return parasitics_key(
-            request.geometry.build(),
+            geometry.build(),
             COPPER_RESISTIVITY,
             0.0,
             CapacitanceModel(),
             True,
         )
 
-    async def _ensure_parasitics(self, record: JobRecord) -> Tuple[str, str]:
-        """Publish the request's parasitics into shared memory (once)."""
+    async def _ensure_parasitics(
+        self, record: JobRecord, geometry: Any
+    ) -> Tuple[str, str]:
+        """Publish a geometry's parasitics into shared memory (once)."""
         assert self._executor is not None
         loop = asyncio.get_running_loop()
-        key = self._parasitics_key(record.request)
+        key = self._parasitics_key(geometry)
         segment = self.shm.segment_name(key)
         if segment is not None:
             return key, segment
@@ -378,92 +383,93 @@ class AnalysisService:
             parasitics = await loop.run_in_executor(
                 self._executor,
                 _workers.extract_worker,
-                record.request.geometry,
+                geometry,
                 self.config.cache_dir,
             )
             segment = self.shm.put(key, parasitics)
             return key, segment
 
-    async def _execute_sweep(self, record: JobRecord) -> Dict[str, Any]:
-        """Run a design-space sweep job with per-scenario progress.
+    async def _run_plan(
+        self,
+        record: JobRecord,
+        spec: ModelSpec,
+        scenarios: Sequence[Tuple[Any, NoiseConfig, str]],
+    ) -> Tuple[List[ScreenedScenario], List[NoiseScanReport]]:
+        """Run the noise plan of ``(geometry, config, label)`` scenarios.
 
-        Scenarios screen one executor item at a time, in grid order --
-        the per-scenario progress stream is deterministic, and the
-        cancel flag is honored at every scenario boundary (and again at
-        every simulation-group boundary).  Screening is cheap relative
-        to the batched group simulations, so serializing it costs
-        little; the groups themselves reuse the exact sweep internals
-        (:func:`~repro.noise.sweep.group_unresolved` /
-        :func:`~repro.noise.sweep.assemble_sweep_results`), keeping the
-        service's payload checksum-identical to the one-shot
-        :func:`~repro.service.workers.oneshot_result` path.
+        Scenarios screen one work item at a time, in order, so the
+        progress stream is deterministic; the simulate items then run
+        concurrently on the pool.  A progress event precedes every
+        item, and the cancel flag is checked before every screen item,
+        before the simulate items are dispatched and as each one
+        finishes -- the pool then drops the ones it has not started.
+        Results are assembled (and stored in the disk cache) exactly as
+        the one-shot runners do.
         """
         assert self._executor is not None
         loop = asyncio.get_running_loop()
-        grid = record.request.sweep
-        assert grid is not None
-        start = time.perf_counter()
-        scenarios = grid.scenarios()
-        screened = []
-        for index, scenario in enumerate(scenarios):
+        cache_dir = self.config.cache_dir
+        labels = [label for _, _, label in scenarios]
+        screened: List[ScreenedScenario] = []
+        for index, (geometry, config, label) in enumerate(scenarios):
+            _, segment = await self._ensure_parasitics(record, geometry)
             record.check_cancelled()
             await self._emit(
                 record,
                 {
                     "event": "progress",
-                    "stage": "scenario",
+                    "stage": "screen",
                     "index": index,
                     "total": len(scenarios),
-                    "label": scenario.label,
+                    "label": label,
                 },
             )
             screened.append(
                 await loop.run_in_executor(
                     self._executor,
-                    _workers.sweep_screen_worker,
-                    scenario,
-                    grid.base,
-                    grid.model,
-                    self.config.cache_dir,
-                )
-            )
-        group_list = group_unresolved(screened)
-        group_results = []
-        for index, group in enumerate(group_list):
-            record.check_cancelled()
-            await self._emit(
-                record,
-                {
-                    "event": "progress",
-                    "stage": "simulate_group",
-                    "index": index,
-                    "total": len(group_list),
-                    "scenarios": [item.scenario.label for item in group],
-                },
-            )
-            group_results.append(
-                await loop.run_in_executor(
-                    self._executor,
-                    _workers.sweep_group_worker,
-                    group,
-                    grid.model,
-                    self.config.cache_dir,
+                    _workers.screen_worker,
+                    segment,
+                    spec,
+                    config,
+                    cache_dir,
                 )
             )
         record.check_cancelled()
-        results = assemble_sweep_results(
-            grid,
-            screened,
-            group_list,
-            group_results,
-            cache=_workers._disk_cache(self.config.cache_dir),
+        items = plan_simulations(screened, parts=self.config.shard_count())
+        futures: List["asyncio.Future[Any]"] = []
+        tiers = []
+        try:
+            for index, item in enumerate(items):
+                owners = sorted({column.owner for column in item.columns})
+                await self._emit(
+                    record,
+                    {
+                        "event": "progress",
+                        "stage": "simulate",
+                        "index": index,
+                        "total": len(items),
+                        "columns": len(item.columns),
+                        "scenarios": [labels[owner] for owner in owners],
+                    },
+                )
+                futures.append(
+                    loop.run_in_executor(
+                        self._executor,
+                        _workers.sim_shard_worker,
+                        item,
+                        cache_dir,
+                    )
+                )
+            for future in futures:
+                tiers.append(await future)
+                record.check_cancelled()
+        finally:
+            for future in futures:
+                future.cancel()
+        reports = assemble_plan(
+            screened, tiers, cache=_workers._disk_cache(cache_dir)
         )
-        report = SweepReport(
-            grid=grid,
-            results=results,
-            seconds=time.perf_counter() - start,
-        )
-        return _workers.sweep_payload(report)
+        return screened, reports
 
     async def _execute(self, record: JobRecord) -> Dict[str, Any]:
         assert self._executor is not None
@@ -471,8 +477,34 @@ class AnalysisService:
         request = record.request
         record.check_cancelled()
         if request.op == "sweep":
-            return await self._execute_sweep(record)
-        key, segment = await self._ensure_parasitics(record)
+            grid = request.sweep
+            assert grid is not None
+            start = time.perf_counter()
+            points = grid.scenarios()
+            screened, reports = await self._run_plan(
+                record,
+                grid.model,
+                [(s.geometry(), s.config(grid.base), s.label) for s in points],
+            )
+            report = SweepReport(
+                grid=grid,
+                results=[
+                    ScenarioResult(scenario, result, item.seconds)
+                    for scenario, item, result in zip(points, screened, reports)
+                ],
+                seconds=time.perf_counter() - start,
+            )
+            return _workers.sweep_payload(report)
+        geometry = request.geometry
+        assert geometry is not None
+        if request.op == "noise" and not request.verify:
+            _, [report] = await self._run_plan(
+                record,
+                request.model,
+                [(geometry, request.noise, geometry.label)],
+            )
+            return _workers.noise_payload(report)
+        key, segment = await self._ensure_parasitics(record, geometry)
 
         if request.op == "extract":
             parasitics = self.shm.get(key)
@@ -493,79 +525,15 @@ class AnalysisService:
                 self.config.cache_dir,
             )
 
-        # --- Tiered noise scan, sharded across the pool. ---
-        if request.verify:
-            # The verify tier re-simulates victims one by one through
-            # the independent path; it is a cross-check, not a serving
-            # workload, so it runs as one unsharded work item.
-            return await loop.run_in_executor(
-                self._executor,
-                _workers.oneshot_worker,
-                request,
-                self.config.cache_dir,
-            )
-        parasitics = self.shm.get(key)
-        assert parasitics is not None
-        config = request.noise
-        switching = _workers.switching_schedule(parasitics, config)
-        record.check_cancelled()
-        await self._emit(record, {"event": "progress", "stage": "screen"})
-        screen = await loop.run_in_executor(
+        # A verified noise scan re-simulates victims one by one through
+        # the independent path; it is a cross-check, not a serving
+        # workload, so it runs as one unsharded work item.
+        return await loop.run_in_executor(
             self._executor,
-            _workers.screen_worker,
-            segment,
-            config,
-            switching,
+            _workers.oneshot_worker,
+            request,
+            self.config.cache_dir,
         )
-        record.check_cancelled()
-        metrics: Dict[int, Tuple[float, float]] = {}
-        build_seconds = 0.0
-        sim_seconds = 0.0
-        if screen.escalated:
-            t_stop = escalation_horizon(screen.escalated, config, switching)
-            shards = _workers.shard_alignments(
-                screen.escalated, self.config.shard_count()
-            )
-            await self._emit(
-                record,
-                {
-                    "event": "progress",
-                    "stage": "simulate",
-                    "escalated": len(screen.escalated),
-                    "shards": len(shards),
-                },
-            )
-            futures = [
-                loop.run_in_executor(
-                    self._executor,
-                    _workers.sim_shard_worker,
-                    segment,
-                    request.model,
-                    config,
-                    switching,
-                    screen.sensitive,
-                    shard,
-                    t_stop,
-                    self.config.cache_dir,
-                )
-                for shard in shards
-            ]
-            tiers = await asyncio.gather(*futures)
-            record.check_cancelled()
-            for tier in tiers:
-                metrics.update(tier.metrics)
-                build_seconds += tier.build_seconds
-                sim_seconds += tier.sim_seconds
-        report = assemble_report(
-            request.model,
-            config,
-            switching,
-            screen,
-            metrics,
-            build_seconds,
-            sim_seconds,
-        )
-        return _workers.noise_payload(report)
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,15 @@ never receive a :class:`~repro.extraction.parasitics.Parasitics`
 object over the pipe: they receive a *shared-memory segment name* and
 attach zero-copy views (:func:`repro.service.shm.attach_parasitics`).
 
-The noise scan is *job-granular and shardable*: the screen tier runs
-as one work item, then the escalated victims are partitioned into
-shards, each simulated as an independent work item against the same
-:func:`~repro.noise.engine.escalation_horizon`.  Because every
-scenario is an independent RHS column of the shared factorization, the
-merged shard metrics are bit-identical to the one-shot
-:func:`~repro.noise.engine.run_noise_scan` -- the equivalence the
-service bench's checksums pin.
+Noise and sweep jobs run the noise plan of :mod:`repro.noise.engine`:
+:func:`screen_worker` is one scenario's screen item and
+:func:`sim_shard_worker` one simulate item.  Every column of a simulate
+item is an independent RHS of the shared factorization, truncated to
+its owner's horizon, so however the service splits the plan into
+items, the merged reports are bit-identical to the one-shot
+:func:`~repro.noise.engine.run_noise_scan` and
+:func:`~repro.noise.sweep.run_sweep` -- the equivalence the service
+bench's checksums pin.
 
 :func:`oneshot_result` is the reference path: the exact computation a
 one-shot CLI invocation performs, used by the load-test bench (and the
@@ -23,7 +24,7 @@ tests) to prove service results checksum-identical to CLI results.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -36,28 +37,20 @@ from repro.noise.engine import (
     EscalationTierResult,
     NoiseConfig,
     NoiseScanReport,
-    ScreenTierResult,
+    ScreenedScenario,
+    SimulateItem,
     run_noise_scan,
-    screen_tier,
+    scan_checksum,
+    screen_scenario,
     simulate_escalated,
 )
-from repro.noise.sweep import (
-    SweepReport,
-    _GroupResult,
-    _ScreenedScenario,
-    _screen_scenario,
-    _simulate_group,
-    run_sweep,
-    sweep_report_checksum,
-)
-from repro.noise.windows import Window, staggered_schedule
-from repro.noise.worst_case import Alignment
+from repro.noise.sweep import SweepReport, run_sweep, sweep_report_checksum
 from repro.pipeline.cache import (
     PipelineCache,
     cached_extract,
     resolve_cache,
 )
-from repro.service.jobs import GeometrySpec, JobRequest, SimParams
+from repro.service.jobs import JobRequest, SimParams
 from repro.service.shm import attach_parasitics
 
 
@@ -66,84 +59,43 @@ def _disk_cache(cache_dir: Optional[str]) -> Optional[PipelineCache]:
     return resolve_cache(cache_dir, enabled=cache_dir is not None)
 
 
-def switching_schedule(
-    parasitics: Parasitics, config: NoiseConfig
-) -> List[Window]:
-    """The default scattered launch schedule of one noise request."""
-    return list(
-        staggered_schedule(
-            parasitics.system.num_wires,
-            config.period,
-            config.switch_width,
-            seed=config.schedule_seed,
-        )
-    )
-
-
 # ----------------------------------------------------------------------
 # Work items (run in pool workers or inline)
 # ----------------------------------------------------------------------
-def extract_worker(
-    geometry: GeometrySpec, cache_dir: Optional[str]
-) -> Parasitics:
-    """Build a geometry and extract its parasitics (disk cache aware)."""
+def extract_worker(geometry: Any, cache_dir: Optional[str]) -> Parasitics:
+    """Build a geometry spec and extract its parasitics (disk cache aware).
+
+    ``geometry`` is a request's :class:`~repro.service.jobs.GeometrySpec`
+    or a sweep scenario's :class:`~repro.experiments.jobs.GeometrySpec`.
+    """
     return cached_extract(geometry.build(), cache=_disk_cache(cache_dir))
 
 
 def screen_worker(
-    segment: str, config: NoiseConfig, switching: Sequence[Window]
-) -> ScreenTierResult:
-    """Run the closed-form screening tier against shared-memory data."""
-    return screen_tier(attach_parasitics(segment), config, switching)
-
-
-def sim_shard_worker(
     segment: str,
     spec: ModelSpec,
     config: NoiseConfig,
-    switching: Sequence[Window],
-    sensitive: Sequence[Any],
-    shard: Sequence[Alignment],
-    t_stop: float,
     cache_dir: Optional[str],
-) -> EscalationTierResult:
-    """Simulate one shard of escalated victims against shared ``t_stop``."""
-    return simulate_escalated(
+) -> ScreenedScenario:
+    """One scenario's screen item, against shared-memory parasitics."""
+    return screen_scenario(
         attach_parasitics(segment),
         spec,
         config,
-        switching,
-        sensitive,
-        shard,
-        t_stop,
+        cache=_disk_cache(cache_dir),
+        source=segment,
+    )
+
+
+def sim_shard_worker(
+    item: SimulateItem, cache_dir: Optional[str]
+) -> EscalationTierResult:
+    """One simulate item, against its shared-memory parasitics."""
+    return simulate_escalated(
+        attach_parasitics(item.source),
+        item,
         cache=_disk_cache(cache_dir),
     )
-
-
-def sweep_screen_worker(
-    scenario: Any,
-    base: NoiseConfig,
-    spec: ModelSpec,
-    cache_dir: Optional[str],
-) -> _ScreenedScenario:
-    """Screen one sweep scenario (phase A of the batched sweep).
-
-    Scenarios carry their own geometry, so this work item extracts
-    through the disk cache rather than attaching shared memory -- sweep
-    grids span many geometries and the cache is their sharing medium.
-    """
-    return _screen_scenario(
-        scenario, base=base, model=spec, cache=_disk_cache(cache_dir)
-    )
-
-
-def sweep_group_worker(
-    group: List[_ScreenedScenario],
-    spec: ModelSpec,
-    cache_dir: Optional[str],
-) -> _GroupResult:
-    """Batch-simulate one compatibility group of screened scenarios."""
-    return _simulate_group(group, model=spec, cache=_disk_cache(cache_dir))
 
 
 def simulate_worker(
@@ -164,24 +116,6 @@ def simulate_worker(
         dt=params.dt,
     )
     return simulate_payload(built.label, report)
-
-
-def shard_alignments(
-    escalated: Sequence[Alignment], shards: int
-) -> List[List[Alignment]]:
-    """Partition escalated victims into at most ``shards`` balanced runs.
-
-    Round-robin keeps shard sizes within one of each other; order
-    within the merged result does not matter because metrics key by
-    victim wire.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    count = min(shards, len(escalated))
-    parts: List[List[Alignment]] = [[] for _ in range(count)]
-    for index, alignment in enumerate(escalated):
-        parts[index % count].append(alignment)
-    return [part for part in parts if part]
 
 
 # ----------------------------------------------------------------------
@@ -231,19 +165,12 @@ def simulate_payload(label: str, report: NoiseReport) -> Dict[str, Any]:
     }
 
 
-def noise_scan_checksum(report: NoiseScanReport) -> str:
-    """Checksum pinning per-victim effective peaks and tier decisions."""
-    peaks = np.array([v.effective_peak for v in report.victims])
-    escalated = np.array([float(v.escalated) for v in report.victims])
-    return array_checksum(peaks, escalated)
-
-
 def noise_payload(report: NoiseScanReport) -> Dict[str, Any]:
     """Summary + checksum of one tiered noise scan."""
     payload = report.to_json_dict()
     payload["op"] = "noise"
     payload["failing"] = [v.wire for v in report.failing()]
-    payload["checksum"] = noise_scan_checksum(report)
+    payload["checksum"] = scan_checksum(report)
     return payload
 
 

@@ -275,3 +275,41 @@ class TestReceiverThreadsThroughSweep:
         assert sweep_report_checksum(plain) == sweep_report_checksum(
             nonlinear
         )
+
+
+class TestIterativeTransientTwins:
+    """Sweeps honour ``spec.solver == "iterative"`` exactly as scans do:
+    the sweep twin of the engine's iterative-scan test."""
+
+    def test_iterative_sweep_matches_direct_decisions(self):
+        from repro.experiments.runner import gw_spec
+
+        grid = SweepGrid(
+            widths=(16,),
+            spacings=(1e-6,),
+            base=NoiseConfig(period=300e-12),
+            model=gw_spec(8),
+        )
+        direct = run_sweep(grid, parallel=1, cache=None).results[0].report
+        with collect() as profile:
+            iterative = run_sweep(
+                dataclasses.replace(grid, model=gw_spec(8, solver="iterative")),
+                parallel=1,
+                cache=None,
+            ).results[0].report
+        assert direct.num_escalated > 0
+        # The escalated transients run on the iterative tier, as in the
+        # scan twin: refinement solves at every time step, at most one
+        # direct factorization per simulated system.
+        assert profile.counters["solve_ilu_refine"] > 100
+        assert profile.counters.get("solve_lu", 0) <= direct.num_escalated
+        for victim, twin in zip(iterative.victims, direct.victims):
+            assert victim.wire == twin.wire
+            assert victim.escalated == twin.escalated
+            if victim.escalated:
+                assert victim.sim_peak == pytest.approx(
+                    twin.sim_peak, rel=1e-8
+                )
+        assert [v.wire for v in iterative.failing()] == [
+            v.wire for v in direct.failing()
+        ]

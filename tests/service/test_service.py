@@ -7,9 +7,9 @@ import time
 import pytest
 
 from repro.health.errors import PassivityViolationError
-from repro.noise.engine import NoiseConfig
+from repro.noise.engine import NoiseConfig, run_noise_scan, scan_checksum
 from repro.noise.sweep import SweepGrid, run_sweep, sweep_report_checksum
-from repro.pipeline.cache import PipelineCache
+from repro.pipeline.cache import PipelineCache, cached_extract
 from repro.service import workers
 from repro.service.client import ServiceClient
 from repro.service.jobs import GeometrySpec, JobRequest
@@ -195,6 +195,35 @@ class TestCancellationAndTimeouts:
         assert final.status == "cancelled"
         assert final.result is None
 
+    def test_cancel_lands_between_simulate_items(self, monkeypatch):
+        started = threading.Event()
+        release = threading.Event()
+        real_sim = workers.sim_shard_worker
+
+        def slow_sim(*args):
+            started.set()
+            release.wait(10)
+            return real_sim(*args)
+
+        monkeypatch.setattr("repro.service.workers.sim_shard_worker", slow_sim)
+
+        async def main():
+            service = AnalysisService(_config(shards=2))
+            try:
+                record = await service.submit(ESCALATING)
+                await asyncio.get_running_loop().run_in_executor(
+                    None, started.wait, 10
+                )
+                assert service.cancel(record.id) is True
+                release.set()
+                return await service.wait(record.id)
+            finally:
+                await service.close()
+
+        final = run(main())
+        assert final.status == "cancelled"
+        assert final.result is None
+
     def test_job_timeout(self, monkeypatch):
         def stuck_extract(*args):
             time.sleep(1.0)
@@ -284,7 +313,7 @@ class TestSweepJobs:
 
         progress = run(main())
         scenario_events = [
-            e for e in progress if e["stage"] == "scenario"
+            e for e in progress if e["stage"] == "screen"
         ]
         expected = [s.label for s in SWEEP_GRID.scenarios()]
         assert [e["label"] for e in scenario_events] == expected
@@ -296,7 +325,7 @@ class TestSweepJobs:
         )
         # Scenario screening strictly precedes group simulation.
         group_events = [
-            e for e in progress if e["stage"] == "simulate_group"
+            e for e in progress if e["stage"] == "simulate"
         ]
         assert group_events
         first_group = progress.index(group_events[0])
@@ -308,7 +337,7 @@ class TestSweepJobs:
         """A cancel lands between scenarios, never mid-report."""
         screened = threading.Event()
         release = threading.Event()
-        real_screen = workers.sweep_screen_worker
+        real_screen = workers.screen_worker
 
         def slow_screen(*args):
             result = real_screen(*args)
@@ -317,7 +346,7 @@ class TestSweepJobs:
             return result
 
         monkeypatch.setattr(
-            "repro.service.workers.sweep_screen_worker", slow_screen
+            "repro.service.workers.screen_worker", slow_screen
         )
 
         async def main():
@@ -368,6 +397,87 @@ class TestSweepJobs:
         first, second = run(main())
         assert second.memoized is True
         assert second.checksum == first.checksum
+
+    def test_sweep_job_honours_iterative_solver(self, monkeypatch):
+        """Escalated sweep transients take the iterative-first policy."""
+        from repro.experiments.runner import gw_spec
+        from repro.noise import engine
+
+        policies = []
+        real_multi = engine.transient_analysis_multi
+
+        def spy(*args, **kwargs):
+            policies.append(kwargs.get("policy"))
+            return real_multi(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.noise.engine.transient_analysis_multi", spy
+        )
+        request = JobRequest(
+            op="sweep",
+            sweep=SweepGrid(
+                widths=(8,),
+                base=NoiseConfig(threshold_fraction=0.1),
+                model=gw_spec(8, solver="iterative"),
+            ),
+        )
+
+        async def main():
+            service = AnalysisService(_config())
+            try:
+                record = await service.submit(request)
+                return await service.wait(record.id)
+            finally:
+                await service.close()
+
+        final = run(main())
+        assert final.status == "done"
+        assert final.result["scenarios"][0]["num_escalated"] > 0
+        assert policies
+        assert all(
+            policy is engine.ITERATIVE_TRANSIENT_POLICY for policy in policies
+        )
+        assert final.checksum == oneshot_result(request)["checksum"]
+
+
+class TestOneNoiseFlow:
+    def test_one_scenario_checksum_is_path_independent(self):
+        """A scan, a one-scenario sweep, and the service's noise and
+        sweep jobs all run one plan: one scenario, one checksum."""
+        config = NoiseConfig(threshold_fraction=0.1)
+        grid = SweepGrid(widths=(8,), base=config)
+        (scenario,) = grid.scenarios()
+        noise_request = JobRequest(
+            op="noise", geometry=GeometrySpec("bus", 8), noise=config
+        )
+        sweep_request = JobRequest(op="sweep", sweep=grid)
+
+        parasitics = cached_extract(scenario.geometry().build(), cache=None)
+        scan = run_noise_scan(
+            parasitics, grid.model, scenario.config(grid.base)
+        )
+        sweep = run_sweep(grid, parallel=1, cache=None)
+
+        async def main():
+            service = AnalysisService(_config(shards=3))
+            try:
+                noise_job = await service.submit(noise_request)
+                sweep_job = await service.submit(sweep_request)
+                return (
+                    await service.wait(noise_job.id),
+                    await service.wait(sweep_job.id),
+                )
+            finally:
+                await service.close()
+
+        noise_job, sweep_job = run(main())
+        assert scan.num_escalated > 1, "the service must shard the scenario"
+        assert noise_job.status == sweep_job.status == "done"
+        assert {
+            sweep_report_checksum(sweep),
+            noise_job.checksum,
+            sweep_job.checksum,
+        } == {scan_checksum(scan)}
 
 
 class TestFailureTaxonomy:
