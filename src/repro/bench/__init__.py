@@ -21,6 +21,7 @@ from repro.bench.results import (
     BenchResult,
     array_checksum,
     load_trajectory,
+    merge_trajectory,
     save_trajectory,
 )
 from repro.bench.runner import DEFAULT_KERNELS, run_suite
@@ -42,6 +43,7 @@ __all__ = [
     "array_checksum",
     "check_results",
     "load_trajectory",
+    "merge_trajectory",
     "run_suite",
     "save_trajectory",
     "scalar_partial_inductance",

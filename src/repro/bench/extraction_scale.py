@@ -16,7 +16,7 @@ inductance at growing filament counts, through the full consumer chain:
   agreement on every run.
 - ``window_solve_scale``: gwVPEC window selection + batched windowed
   inverse straight from the extraction result (dense fancy-indexed
-  submatrices vs per-window tree gathers).
+  submatrices vs one block-cover gather of the window stack).
 - ``noise_scan_scale``: the tiered noise scan on the same bus, sized so
   the closed-form screen resolves every victim -- the 100k-filament
   regime where the simulation tier must never materialize anything

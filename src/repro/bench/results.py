@@ -134,6 +134,23 @@ def load_trajectory(path: Union[str, Path]) -> List[BenchResult]:
     return [BenchResult.from_entry(entry) for entry in payload["entries"]]
 
 
+def merge_trajectory(
+    committed: Sequence[BenchResult], fresh: Sequence[BenchResult]
+) -> List[BenchResult]:
+    """``committed`` with ``fresh`` results folded in by :attr:`~BenchResult.key`.
+
+    A fresh result replaces the committed entry with its key in place;
+    committed entries nothing fresh replaces keep their order, and
+    fresh results with new keys follow them.  This is what
+    ``repro bench --update`` writes, so a partial run (a size prefix, a
+    kernel subset) refreshes its own rungs without dropping the others.
+    """
+    by_key = {result.key: result for result in fresh}
+    merged = [by_key.pop(entry.key, entry) for entry in committed]
+    merged.extend(result for result in fresh if result.key in by_key)
+    return merged
+
+
 def save_trajectory(
     path: Union[str, Path], results: Sequence[BenchResult]
 ) -> None:

@@ -915,7 +915,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--update",
         action="store_true",
-        help="rewrite the trajectory file with the fresh results",
+        help="merge the fresh results into the trajectory file: entries "
+        "with the same (kernel, variant, size) are replaced, all others "
+        "are kept",
     )
     p_bench.add_argument(
         "--trajectory",
@@ -1036,6 +1038,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
         check_results,
         load_trajectory,
+        merge_trajectory,
         run_suite,
         save_trajectory,
     )
@@ -1156,7 +1159,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             code = 1
     if args.update:
-        save_trajectory(args.trajectory, results)
+        save_trajectory(
+            args.trajectory,
+            merge_trajectory(load_trajectory(args.trajectory), results),
+        )
         print(f"updated {args.trajectory}")
     return code
 

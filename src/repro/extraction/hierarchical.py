@@ -77,6 +77,10 @@ _KIND_DENSE = 0
 _KIND_LOWRANK = 1
 _KIND_DENSE_SPILL = 2
 
+#: Entries per pass of :meth:`LazyInductance.gather_stack`: bounds the
+#: gather's per-entry scratch (a handful of int64/float64 arrays).
+_GATHER_CHUNK_PAIRS = 1 << 16
+
 
 @dataclass(frozen=True)
 class HierarchicalConfig:
@@ -469,11 +473,30 @@ class LazyInductance:
                     u.reshape(ra, rank),
                     v.reshape(rank, rb),
                 )
-        # Leaf id of each tree slot, for the single-leaf gather shortcut.
-        self._leaf_of = np.empty(self.n, dtype=np.int64)
-        for node in range(self.node_lo.size):
-            if self.node_left[node] == -1:
-                self._leaf_of[self.node_lo[node]:self.node_hi[node]] = node
+        # The gather's block cover: leaves ranked in slot order, the leaf
+        # rank of every tree slot, and one sorted key per (leaf row,
+        # block) -- ``row * leaves + first leaf column`` -- whose block
+        # covers that leaf row from that column on.  Stored blocks put
+        # the earlier node first and tile the slot matrix, so each leaf
+        # row's keys partition the columns from the diagonal rightwards.
+        leaves = np.flatnonzero(self.node_left == -1)
+        leaf_lo = np.sort(self.node_lo[leaves])
+        self._num_leaves = leaf_lo.size
+        self._slot_leaf = np.searchsorted(leaf_lo, np.arange(self.n), "right") - 1
+        first = np.searchsorted(leaf_lo, self.node_lo)
+        end = np.searchsorted(leaf_lo, self.node_hi)
+        row_node = self.block_table[:, 0]
+        spans = end[row_node] - first[row_node]
+        owner = np.repeat(np.arange(spans.size), spans)
+        leaf_row = (
+            np.arange(owner.size)
+            - np.repeat(np.cumsum(spans) - spans, spans)
+            + first[row_node][owner]
+        )
+        keys = leaf_row * self._num_leaves + first[self.block_table[owner, 1]]
+        order = np.argsort(keys)
+        self._cover_keys = keys[order]
+        self._cover_block = owner[order]
 
     # ------------------------------------------------------------------
     # Shape protocol
@@ -510,42 +533,82 @@ class LazyInductance:
 
         Near-field entries come verbatim from the stored dense blocks;
         far-field entries are re-expanded from their low-rank factors.
-        Cost is proportional to the touched blocks, not to ``n``.
+        Cost is proportional to the requested entries, not to ``n``.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        rows_t = self.inv_perm[rows]
-        cols_t = self.inv_perm[cols]
-        out = np.zeros((rows.size, cols.size))
-        if rows.size == 0 or cols.size == 0:
-            return out
-        # Single-leaf shortcut: a window of spatial neighbors almost
-        # always lands inside one leaf's diagonal dense block.
-        leaf = self._leaf_of[rows_t[0]]
-        if (
-            rows.size == cols.size
-            and (self._leaf_of[rows_t] == leaf).all()
-            and (self._leaf_of[cols_t] == leaf).all()
-        ):
-            entry = self._blocks.get((int(leaf), int(leaf)))
-            if entry is not None and entry[0] == _KIND_DENSE:
-                lo = self.node_lo[leaf]
-                out[:, :] = entry[1][np.ix_(rows_t - lo, cols_t - lo)]
-                return out
-        r_order = np.argsort(rows_t, kind="stable")
-        c_order = np.argsort(cols_t, kind="stable")
-        rs = rows_t[r_order]
-        cs = cols_t[c_order]
-        self._descend(rs, r_order, cs, c_order, out)
-        return out
+        rows_t = self.inv_perm[np.asarray(rows, dtype=np.int64)]
+        cols_t = self.inv_perm[np.asarray(cols, dtype=np.int64)]
+        values = self._entries(
+            np.repeat(rows_t, cols_t.size), np.tile(cols_t, rows_t.size)
+        )
+        return values.reshape(rows_t.size, cols_t.size)
 
     def gather_stack(self, windows: np.ndarray) -> np.ndarray:
-        """Symmetric gathers of many windows: ``(K, w, w)`` stack."""
+        """Symmetric gathers of many windows: ``(K, w, w)`` stack.
+
+        Entry for entry the same values as ``gather(w, w)`` per window;
+        windows go through the one gather path in chunks of at most
+        :data:`_GATHER_CHUNK_PAIRS` entries, so its scratch stays small
+        however many windows are stacked.
+        """
         windows = np.asarray(windows, dtype=np.int64)
         count, width = windows.shape
         out = np.empty((count, width, width))
-        for k in range(count):
-            out[k] = self.gather(windows[k], windows[k])
+        step = max(1, _GATHER_CHUNK_PAIRS // max(width * width, 1))
+        for lo in range(0, count, step):
+            slots = self.inv_perm[windows[lo:lo + step]]
+            values = self._entries(
+                np.repeat(slots, width, axis=1).ravel(),
+                np.tile(slots, (1, width)).ravel(),
+            )
+            out[lo:lo + step] = values.reshape(len(slots), width, width)
+        return out
+
+    def _entries(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``L`` at the tree-slot pairs ``(r[k], c[k])``: the one gather path.
+
+        ``L`` is symmetric, so every pair is first put in the stored
+        orientation (earlier leaf as the row).  Pairs are then grouped
+        by their (leaf, leaf) pair, and each group's covering block is
+        looked up once in the cover directory.  Dense groups -- near
+        field and ACA fallbacks alike -- are copied verbatim from their
+        pool by one fancy index, so they are exact; each low-rank group
+        is one row-wise expansion of its block's factors.
+        """
+        leaf_r = self._slot_leaf[r]
+        leaf_c = self._slot_leaf[c]
+        swap = leaf_r > leaf_c
+        r, c = np.where(swap, c, r), np.where(swap, r, c)
+        pair_ids, group = np.unique(
+            np.minimum(leaf_r, leaf_c) * self._num_leaves
+            + np.maximum(leaf_r, leaf_c),
+            return_inverse=True,
+        )
+        cover = np.searchsorted(self._cover_keys, pair_ids, "right") - 1
+        table = self.block_table[self._cover_block[cover]]
+        col_lo = self.node_lo[table[:, 1]]
+        width = self.node_hi[table[:, 1]] - col_lo
+        local_r = r - self.node_lo[table[:, 0]][group]
+        local_c = c - col_lo[group]
+        kind = table[group, 2]
+        flat = table[group, 3] + local_r * width[group] + local_c
+        out = np.empty(r.size)
+        for stored, pool in (
+            (_KIND_DENSE, self.dense_data),
+            (_KIND_DENSE_SPILL, self.lr_data),
+        ):
+            sel = kind == stored
+            out[sel] = pool[flat[sel]]
+        lowrank = np.flatnonzero(kind == _KIND_LOWRANK)
+        if lowrank.size:
+            add_counter("hier_gather_lowrank_entries", lowrank.size)
+            lowrank = lowrank[np.argsort(group[lowrank], kind="stable")]
+            bounds = np.flatnonzero(np.diff(group[lowrank])) + 1
+            for members in np.split(lowrank, bounds):
+                a, b = table[group[members[0]], :2]
+                _, u, v = self._blocks[(int(a), int(b))]
+                out[members] = (
+                    u[local_r[members]] * v.T[local_c[members]]
+                ).sum(axis=1)
         return out
 
     # ------------------------------------------------------------------
@@ -616,84 +679,6 @@ class LazyInductance:
             if self.node_left[node] == -1:
                 _, first, _ = self._blocks[(node, node)]
                 yield int(self.node_lo[node]), int(self.node_hi[node]), first
-
-    def _descend(
-        self,
-        rs: np.ndarray,
-        r_order: np.ndarray,
-        cs: np.ndarray,
-        c_order: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        node_lo, node_hi = self.node_lo, self.node_hi
-        node_left, node_right = self.node_left, self.node_right
-        blocks = self._blocks
-        stack: List[Tuple[int, int]] = [(0, 0)]
-        while stack:
-            a, b = stack.pop()
-            ra0, ra1 = np.searchsorted(rs, (node_lo[a], node_hi[a]))
-            cb0, cb1 = np.searchsorted(cs, (node_lo[b], node_hi[b]))
-            direct = ra1 > ra0 and cb1 > cb0
-            mirror = False
-            if a != b:
-                rb0, rb1 = np.searchsorted(rs, (node_lo[b], node_hi[b]))
-                ca0, ca1 = np.searchsorted(cs, (node_lo[a], node_hi[a]))
-                mirror = rb1 > rb0 and ca1 > ca0
-            if not direct and not mirror:
-                continue
-            entry = blocks.get((a, b))
-            if entry is None:
-                # No block stored at this pair: split exactly the way
-                # the builder did, so the descent reproduces the stored
-                # partition key for key (diverging here would skip
-                # stored blocks and recurse forever at childless pairs).
-                if a == b:
-                    left, right = int(node_left[a]), int(node_right[a])
-                    stack.append((left, left))
-                    stack.append((left, right))
-                    stack.append((right, right))
-                else:
-                    leaf_a = node_left[a] == -1
-                    leaf_b = node_left[b] == -1
-                    kids_a = (
-                        [a] if leaf_a else [int(node_left[a]), int(node_right[a])]
-                    )
-                    kids_b = (
-                        [b] if leaf_b else [int(node_left[b]), int(node_right[b])]
-                    )
-                    if not leaf_a and not leaf_b:
-                        size_a = int(node_hi[a] - node_lo[a])
-                        size_b = int(node_hi[b] - node_lo[b])
-                        if size_a >= size_b:
-                            kids_b = [b]
-                        else:
-                            kids_a = [a]
-                    for ka in kids_a:
-                        for kb in kids_b:
-                            stack.append(
-                                (ka, kb)
-                                if node_lo[ka] <= node_lo[kb]
-                                else (kb, ka)
-                            )
-                continue
-            kind, first, second = entry
-            lo_a, lo_b = node_lo[a], node_lo[b]
-            if direct:
-                local_r = rs[ra0:ra1] - lo_a
-                local_c = cs[cb0:cb1] - lo_b
-                if kind == _KIND_DENSE:
-                    values = first[np.ix_(local_r, local_c)]
-                else:
-                    values = first[local_r] @ second[:, local_c]
-                out[np.ix_(r_order[ra0:ra1], c_order[cb0:cb1])] = values
-            if mirror:
-                local_i = rs[rb0:rb1] - lo_b
-                local_j = cs[ca0:ca1] - lo_a
-                if kind == _KIND_DENSE:
-                    values = first[np.ix_(local_j, local_i)].T
-                else:
-                    values = (first[local_j] @ second[:, local_i]).T
-                out[np.ix_(r_order[rb0:rb1], c_order[ca0:ca1])] = values
 
     # ------------------------------------------------------------------
     # Whole-matrix views

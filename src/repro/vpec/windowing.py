@@ -43,8 +43,41 @@ from repro.vpec.effective import VpecNetwork
 
 
 #: Group size above which nearest-neighbor selection switches from the
-#: exact all-pairs distance matrix to a KD-tree query.
+#: exact all-pairs scan to a KD-tree query.  Memory is not the reason
+#: (the scan streams row blocks, see :data:`_SELECT_BLOCK_BYTES`): its
+#: O(n^2) time is, and below the limit the exact scan keeps the golden
+#: results' argpartition tie-breaking bit for bit.
 _DENSE_KNN_LIMIT = 4096
+
+#: Bytes of one ``(rows, n)`` float64 distance block of the exact scan;
+#: the scan holds a few such blocks at a time, so its memory is
+#: O(block * n) instead of the O(n^2) all-pairs matrix.
+_SELECT_BLOCK_BYTES = 4 << 20
+
+
+def _nearest_exact(centers: np.ndarray, b: int) -> np.ndarray:
+    """Row-wise ``argpartition`` of all-pairs center distances, streamed.
+
+    Each block of rows evaluates ``sqrt(dx*dx + dy*dy + dz*dz)`` --
+    the same left-to-right sum ``np.sum(delta * delta, axis=2)`` forms
+    over the coordinate axis -- and ``argpartition`` treats every row
+    on its own, so the result equals the all-pairs selection index for
+    index, ties included.
+    """
+    n = centers.shape[0]
+    rows = max(1, _SELECT_BLOCK_BYTES // (8 * n))
+    nearest = np.empty((n, b), dtype=np.intp)
+    for lo in range(0, n, rows):
+        block = centers[lo:lo + rows]
+        distance = np.subtract.outer(block[:, 0], centers[:, 0])
+        distance *= distance
+        for axis in (1, 2):
+            delta = np.subtract.outer(block[:, axis], centers[:, axis])
+            delta *= delta
+            distance += delta
+        np.sqrt(distance, out=distance)
+        nearest[lo:lo + rows] = np.argpartition(distance, b - 1, axis=1)[:, :b]
+    return nearest
 
 
 def geometric_windows(
@@ -70,22 +103,17 @@ def geometric_windows(
     b = min(window_size, n)
     centers = np.array([system[i].center for i in indices])
     if n <= _DENSE_KNN_LIMIT:
-        # Exact all-pairs selection.  Kept (not replaced by the KD-tree)
-        # below the limit so existing golden results keep their
-        # argpartition tie-breaking bit for bit.
-        delta = centers[:, None, :] - centers[None, :, :]
-        distance = np.sqrt(np.sum(delta * delta, axis=2))
-        nearest = np.argpartition(distance, b - 1, axis=1)[:, :b]
+        nearest = _nearest_exact(centers, b)
     else:
-        # O(n^2) center distances would need ~n^2 * 8 bytes -- the exact
-        # thing the hierarchical path exists to avoid.  A KD-tree query
-        # finds the same nearest-b sets in O(n b log n); only degenerate
-        # equidistant ties can differ, and symmetrization absorbs those.
+        # The exact scan's O(n^2) time stops paying off here.  A
+        # KD-tree query finds the same nearest-b sets in O(n b log n);
+        # only degenerate equidistant ties can differ, and
+        # symmetrization absorbs those.
         from scipy.spatial import cKDTree
 
         _, nearest = cKDTree(centers).query(centers, k=b)
         nearest = nearest.reshape(n, b)
-    windows = [np.sort(nearest[m]) for m in range(n)]
+    windows = list(np.sort(nearest, axis=1))
     return symmetrize_windows(windows) if symmetrize else windows
 
 
@@ -342,10 +370,11 @@ def windowed_inverse(
             raise ValueError(
                 f"window of aggressor {int(agg[0])} must contain {int(agg[0])}"
             )
-        # Window submatrices: fancy indexing on dense blocks, per-window
-        # tree gathers on hierarchical operators (near-field windows hit
-        # the stored leaf blocks verbatim, so the submatrices -- and
-        # with them the solves -- are exact, not approximations).
+        # Window submatrices: fancy indexing on dense blocks, one
+        # block-cover gather of the whole stack on hierarchical
+        # operators (near-field windows hit the stored leaf blocks
+        # verbatim, so the submatrices -- and with them the solves --
+        # are exact, not approximations).
         if lazy:
             subs = block.gather_stack(stack)
         else:
@@ -379,6 +408,10 @@ def windowed_inverse(
         else:
             solve_rows = np.arange(agg.size)
             inverse = solve_rows
+        # The O(N b^3) work of the construction, as operation counts:
+        # systems factored and their summed |W|^3.
+        add_counter("window_solves", solve_rows.size)
+        add_counter("window_solve_cubes", solve_rows.size * size**3)
 
         solutions = _solve_window_stack(
             subs[solve_rows],

@@ -10,8 +10,10 @@ from repro.bench.results import (
     BenchResult,
     array_checksum,
     load_trajectory,
+    merge_trajectory,
     save_trajectory,
 )
+from repro.cli import main
 
 
 class TestArrayChecksum:
@@ -79,3 +81,73 @@ class TestTrajectoryIO:
         fast = self._result(seconds=0.001)
         slow = self._result(seconds=9.0)
         assert fast.key == slow.key
+
+
+class TestUpdateMerge:
+    """``repro bench --update`` refreshes its own rungs, keeps the rest."""
+
+    @staticmethod
+    def _result(kernel, size, seconds=1.0, checksum="c0ffee"):
+        return BenchResult(
+            kernel=kernel,
+            variant="hierarchical",
+            size=size,
+            seconds=seconds,
+            checksum=checksum,
+        )
+
+    def test_fresh_replaces_same_key_in_place(self):
+        committed = [
+            self._result("extract_scale", 4096),
+            self._result("extract_scale", 16384),
+            self._result("window_solve_scale", 4096),
+        ]
+        fresh = [
+            self._result("window_solve_scale", 4096, seconds=0.3),
+            self._result("window_solve_scale", 128, seconds=0.1),
+            self._result("extract_scale", 4096, seconds=2.0),
+        ]
+        merged = merge_trajectory(committed, fresh)
+        assert [r.key for r in merged] == [
+            ("extract_scale", "hierarchical", 4096),
+            ("extract_scale", "hierarchical", 16384),
+            ("window_solve_scale", "hierarchical", 4096),
+            ("window_solve_scale", "hierarchical", 128),
+        ]
+        assert [r.seconds for r in merged] == [2.0, 1.0, 0.3, 0.1]
+
+    def test_cli_update_keeps_other_entries(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_noise.json"
+        kept_before = self._result("noise_screen_bus256", 4096)
+        stale = BenchResult(
+            kernel="noise_screen_bus256",
+            variant="vectorized",
+            size=16,
+            seconds=99.0,
+            checksum="stale",
+        )
+        kept_after = self._result("noise_engine_bus64", 64)
+        save_trajectory(path, [kept_before, stale, kept_after])
+        code = main(
+            [
+                "bench",
+                "--suite",
+                "noise",
+                "--kernel",
+                "noise_screen_bus256",
+                "--size",
+                "16",
+                "--repeats",
+                "1",
+                "--trajectory",
+                str(path),
+                "--update",
+            ]
+        )
+        assert code == 0
+        entries = load_trajectory(path)
+        assert entries[0] == kept_before
+        assert entries[2] == kept_after
+        assert entries[1].key == stale.key
+        assert entries[1].checksum != "stale"
+        assert len(entries) == 3

@@ -38,6 +38,7 @@ from repro.geometry.crossbar import crossbar
 from repro.pipeline.hashing import stable_hash
 from repro.pipeline.profiling import collect
 from repro.vpec.flow import windowed_vpec
+from repro.vpec.windowing import geometric_windows
 
 #: Small leaves force a deep tree (and far-field low-rank blocks) even
 #: at unit-test sizes.
@@ -125,6 +126,104 @@ class TestGatherMatchesExact:
         (_, operator), = _blocks(system, TEST_CONFIG).values()
         (_, exact), = _dense_blocks(system).values()
         assert np.array_equal(operator.diagonal(), np.diagonal(exact))
+
+
+class TestBlockCoverGather:
+    """``gather`` and ``gather_stack``: one block-cover path."""
+
+    STORED = (
+        "perm",
+        "node_lo",
+        "node_hi",
+        "node_left",
+        "node_right",
+        "block_table",
+        "dense_data",
+        "lr_data",
+    )
+
+    @staticmethod
+    def _scattered(n, count, width, seed):
+        rng = np.random.default_rng(seed)
+        return np.array(
+            [rng.choice(n, size=width, replace=False) for _ in range(count)]
+        )
+
+    @staticmethod
+    def _neighbor_windows(system, indices, size):
+        return np.array(
+            geometric_windows(system, indices, size, symmetrize=False)
+        )
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_stack_equals_stacked_gathers_bitwise(self, monkeypatch, chunk):
+        import repro.extraction.hierarchical as hierarchical
+
+        if chunk is not None:
+            # Several passes, the last one ragged.
+            monkeypatch.setattr(hierarchical, "_GATHER_CHUNK_PAIRS", chunk * 36)
+        system = nonaligned_bus(32, segments_per_line=8, offset_jitter=0.3)
+        (indices, operator), = _blocks(system, TEST_CONFIG).values()
+        with collect() as profile:
+            for windows in (
+                self._neighbor_windows(system, indices, 6),
+                self._scattered(len(indices), 40, 6, seed=3),
+            ):
+                stacked = np.stack([operator.gather(w, w) for w in windows])
+                assert np.array_equal(operator.gather_stack(windows), stacked)
+        # The low-rank expansion is covered too, not only verbatim copies.
+        assert profile.counters["hier_gather_lowrank_entries"] > 0
+
+    @pytest.mark.parametrize("leaf_size", [4, 8])
+    def test_straddling_windows_exact_at_cutoff_zero(self, leaf_size):
+        system = nonaligned_bus(16, segments_per_line=4, offset_jitter=0.3)
+        config = HierarchicalConfig(leaf_size=leaf_size, cutoff=0.0)
+        (indices, operator), = _blocks(system, config).values()
+        (_, exact), = _dense_blocks(system).values()
+        exact = np.asarray(exact)
+        windows = self._neighbor_windows(system, indices, 6)
+        leaves = operator._slot_leaf[operator.inv_perm[windows]]
+        assert (leaves.min(axis=1) != leaves.max(axis=1)).any()
+        want = exact[windows[:, :, None], windows[:, None, :]]
+        assert np.array_equal(operator.gather_stack(windows), want)
+        for window, block in zip(windows, want):
+            assert np.array_equal(operator.gather(window, window), block)
+        # Every leaf pair of the cover, in both orientations.
+        everything = np.arange(len(indices))
+        assert np.array_equal(operator.gather(everything, everything), exact)
+
+    def test_scattered_windows_through_lowrank_blocks(self):
+        # 256 filaments in leaves of 8: the smallest bus here whose tree
+        # stores low-rank far-field blocks (and ACA fallbacks).
+        system = nonaligned_bus(32, segments_per_line=8, offset_jitter=0.3)
+        (indices, operator), = _blocks(system, TEST_CONFIG).values()
+        (_, exact), = _dense_blocks(system).values()
+        exact = np.asarray(exact)
+        windows = self._scattered(len(indices), 64, 8, seed=11)
+        with collect() as profile:
+            got = operator.gather_stack(windows)
+        assert profile.counters["hier_gather_lowrank_entries"] > 0
+        want = exact[windows[:, :, None], windows[:, None, :]]
+        scale = np.abs(exact).max()
+        assert (
+            np.abs(got - want).max()
+            <= 100 * TEST_CONFIG.cutoff * scale + 1e-12 * scale
+        )
+
+    def test_cover_view_is_derived_never_serialized(self):
+        system = nonaligned_bus(16, segments_per_line=4, offset_jitter=0.3)
+        (indices, operator), = _blocks(system, TEST_CONFIG).values()
+        pickled = pickle.dumps(operator)
+        fingerprint = stable_hash(operator.fingerprint_payload())
+        operator.gather_stack(self._scattered(len(indices), 8, 5, seed=0))
+        meta, arrays = operator.columns()
+        assert tuple(arrays) == self.STORED
+        assert set(meta) == {"n", "config"}
+        assert pickle.dumps(operator) == pickled
+        assert stable_hash(operator.fingerprint_payload()) == fingerprint
+        clone = pickle.loads(pickled)
+        for view in ("_slot_leaf", "_cover_keys", "_cover_block"):
+            assert np.array_equal(getattr(clone, view), getattr(operator, view))
 
 
 class TestBitIdentityCompressionOff:

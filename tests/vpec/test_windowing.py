@@ -1,8 +1,13 @@
 """Unit tests for wVPEC windowing (Section V)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.vpec.windowing as windowing
+from repro.bench.extraction_scale import scale_geometry
+from repro.geometry.bus import aligned_bus
 from repro.vpec.full import full_vpec_networks, invert_spd
 from repro.vpec.passivity import audit_network
 from repro.vpec.windowing import (
@@ -42,6 +47,86 @@ class TestGeometricWindows:
     def test_rejects_bad_size(self, bus5):
         with pytest.raises(ValueError):
             geometric_windows(bus5.system, list(range(5)), 0)
+
+
+def _all_pairs_nearest(system, indices, b, rows_per_slice=None):
+    """The all-pairs selection formula, kept verbatim as the reference.
+
+    ``rows_per_slice`` evaluates it over slices of rows -- every row's
+    distances and ``argpartition`` depend on that row alone -- only to
+    bound the reference's own memory at n = 4096.
+    """
+    centers = np.array([system[i].center for i in indices])
+    n = len(indices)
+    step = rows_per_slice or n
+    parts = []
+    for lo in range(0, n, step):
+        delta = centers[lo:lo + step, None, :] - centers[None, :, :]
+        distance = np.sqrt(np.sum(delta * delta, axis=2))
+        parts.append(np.argpartition(distance, b - 1, axis=1)[:, :b])
+    nearest = np.concatenate(parts)
+    return [np.sort(nearest[m]) for m in range(n)]
+
+
+def _assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+class TestStreamedSelection:
+    """The row-blocked exact scan is the all-pairs selection, window for window."""
+
+    @pytest.mark.parametrize("segments", [1, 6])
+    @pytest.mark.parametrize("block_rows", [None, 1, 7])
+    def test_tie_heavy_aligned_bus(self, monkeypatch, block_rows, segments):
+        # Equal pitches and equal segment lengths make most distances
+        # tie, and an even b splits the tied +-k neighbors: the
+        # argpartition tie-breaking must survive the blocking.
+        system = aligned_bus(48 // segments, segments_per_line=segments)
+        (indices,) = system.indices_by_axis().values()
+        n = len(indices)
+        if block_rows is not None:
+            monkeypatch.setattr(
+                windowing, "_SELECT_BLOCK_BYTES", 8 * n * block_rows
+            )
+        for b in (2, 3, 4, 8):
+            reference = _all_pairs_nearest(system, indices, b)
+            _assert_same_windows(
+                geometric_windows(system, indices, b, symmetrize=False),
+                reference,
+            )
+            _assert_same_windows(
+                geometric_windows(system, indices, b),
+                symmetrize_windows(reference),
+            )
+
+    def test_scale_geometry_spans_many_row_blocks(self):
+        system = scale_geometry(4096)
+        (indices,) = system.indices_by_axis().values()
+        n = len(indices)
+        assert n <= windowing._DENSE_KNN_LIMIT
+        assert windowing._SELECT_BLOCK_BYTES // (8 * n) < n // 4
+        reference = _all_pairs_nearest(system, indices, 8, rows_per_slice=256)
+        got = geometric_windows(system, indices, 8, symmetrize=False)
+        _assert_same_windows(got, reference)
+        _assert_same_windows(
+            symmetrize_windows(got), symmetrize_windows(reference)
+        )
+
+    def test_selection_memory_is_linear(self):
+        # The all-pairs formula needs ~1 GB at n = 4096; the streamed
+        # scan holds a few (block, n) rows at a time.
+        system = scale_geometry(4096)
+        (indices,) = system.indices_by_axis().values()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            geometric_windows(system, indices, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestNumericalWindows:
