@@ -63,9 +63,10 @@ SCALE_KERNELS = (
     "parallel_assembly_scale",
 )
 
-#: Committed sizes of the full local run: two dense-feasible rungs, the
-#: 100k+ hierarchical-only rung, and the 10^6-filament flagship (the
-#: end-to-end extract -> wVPEC -> tiered-scan entry of ISSUE 10).
+#: Sizes of the full local run.  ``BENCH_extraction_scale.json`` holds
+#: 4 096 to 102 400: two dense-feasible rungs and the 100k+
+#: hierarchical-only rung.  The 10^6-filament end-to-end rung is
+#: attempted but has no committed entry.
 DEFAULT_SIZES = (4096, 16384, 102400, 1000000)
 
 #: Largest size the dense path still runs at (time- and memory-wise);

@@ -1007,9 +1007,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="extraction_scale suite: filament counts to run (default: "
-        "the committed 4096/16384/102400/1000000 ladder; CI passes a "
-        "small prefix -- sizes absent from the trajectory are not "
-        "compared)",
+        "4096/16384/102400/1000000; the committed trajectory holds 4096 "
+        "to 102400, and CI passes the 4096 prefix -- sizes absent from "
+        "the trajectory are not compared)",
     )
     p_bench.add_argument(
         "--scale-jobs",

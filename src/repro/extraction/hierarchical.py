@@ -172,6 +172,7 @@ class _PairEvaluator:
 
     def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``L`` entries of pairs ``(i, j)`` (tree coordinates)."""
+        add_counter("hier_kernel_calls")
         i = np.asarray(i, dtype=np.intp)
         j = np.asarray(j, dtype=np.intp)
         values = np.empty(i.size)
@@ -233,15 +234,14 @@ class _PairEvaluator:
         add_counter("hier_kernel_entries", ii.size)
         return self.entries(ii, jj).reshape(len(rows), len(cols))
 
-    def row(self, i: int, cols: np.ndarray) -> np.ndarray:
-        cols = np.asarray(cols, dtype=np.intp)
-        add_counter("hier_kernel_entries", cols.size)
-        return self.entries(np.full(cols.size, i, dtype=np.intp), cols)
-
-    def col(self, rows: np.ndarray, j: int) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        add_counter("hier_kernel_entries", rows.size)
-        return self.entries(rows, np.full(rows.size, j, dtype=np.intp))
+    def split_entries(
+        self, i: np.ndarray, j: np.ndarray, sizes: Sequence[int]
+    ) -> List[np.ndarray]:
+        """One :meth:`entries` call over concatenated requests, split back
+        into consecutive pieces of ``sizes`` entries."""
+        values = self.entries(i, j)
+        add_counter("hier_kernel_entries", values.size)
+        return np.split(values, np.cumsum(sizes)[:-1])
 
 
 # ----------------------------------------------------------------------
@@ -328,73 +328,168 @@ def _box_diameter(min_box: np.ndarray, max_box: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------
-# Adaptive cross approximation
+# Adaptive cross approximation, in lockstep over groups of blocks
 # ----------------------------------------------------------------------
-def _aca(
-    evaluator: _PairEvaluator,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    tol: float,
-    max_rank: int,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Partially pivoted ACA of one admissible block, or ``None``.
+#: Admissible blocks compressed together.  Every round of a group sends
+#: each live block's pivot row through one kernel call and each pivot
+#: column through one more, so kernel calls scale with a group's rounds
+#: (its largest rank), not with the sum of its blocks' ranks.  The bound
+#: caps the factors held in flight: a block's factors stay in Python
+#: lists only until it finishes.
+_ACA_GROUP = 64
+
+
+class _AcaBlock:
+    """Partially pivoted ACA of one admissible block, one step at a time.
 
     Builds ``U (m, k)`` and ``V (k, n)`` with an estimated relative
-    Frobenius error ``||A - U V||_F <= tol ||A||_F``.  Returns ``None``
-    when the block refuses to converge within ``max_rank`` or the
-    factors would not be smaller than the dense block -- the caller
-    stores the exact dense block instead, so the tolerance only ever
-    bounds the error of blocks that did compress.
+    Frobenius error ``||A - U V||_F <= tol ||A||_F``.  Each step is
+    split at its two kernel evaluations -- :meth:`take_row` consumes the
+    pivot row, :meth:`take_col` the pivot column -- so a group of blocks
+    can share them (:func:`_aca_group`).  All arithmetic in between
+    touches only this block's state, so the factors do not depend on
+    the group a block ran in.  :meth:`rank` is ``0`` when the block
+    refused to converge within ``max_rank`` or the factors would not be
+    smaller than the dense block -- the caller then stores the exact
+    dense block, so the tolerance only ever bounds the error of blocks
+    that did compress.
     """
-    m, n = rows.size, cols.size
-    us: List[np.ndarray] = []
-    vs: List[np.ndarray] = []
-    used = np.zeros(m, dtype=bool)
-    pivot_row = 0
-    frob2 = 0.0
-    converged = False
-    steps = 0
-    while steps < max_rank + m:
-        steps += 1
-        residual = evaluator.row(int(rows[pivot_row]), cols)
-        for u, v in zip(us, vs):
+
+    __slots__ = (
+        "index",
+        "rows",
+        "cols",
+        "max_rank",
+        "us",
+        "vs",
+        "used",
+        "pivot_row",
+        "pivot_col",
+        "v",
+        "frob2",
+        "steps",
+        "converged",
+        "done",
+    )
+
+    def __init__(
+        self, index: int, rows: np.ndarray, cols: np.ndarray, max_rank: int
+    ) -> None:
+        self.index = index
+        self.rows = rows
+        self.cols = cols
+        self.max_rank = max_rank
+        self.us: List[np.ndarray] = []
+        self.vs: List[np.ndarray] = []
+        self.used = np.zeros(rows.size, dtype=bool)
+        self.pivot_row = 0
+        self.pivot_col = 0
+        self.v = np.empty(0)
+        self.frob2 = 0.0
+        self.steps = 0
+        self.converged = False
+        self.done = False
+
+    def next_row(self) -> int:
+        """Start a step: the tree slot of the row it evaluates."""
+        self.steps += 1
+        return int(self.rows[self.pivot_row])
+
+    def take_row(self, residual: np.ndarray) -> bool:
+        """Consume the pivot row; True when the step needs its column."""
+        pivot_row = self.pivot_row
+        for u, v in zip(self.us, self.vs):
             residual = residual - u[pivot_row] * v
-        used[pivot_row] = True
+        self.used[pivot_row] = True
         pivot_col = int(np.argmax(np.abs(residual)))
         pivot = residual[pivot_col]
         if pivot == 0.0:
-            remaining = np.flatnonzero(~used)
+            remaining = np.flatnonzero(~self.used)
             if remaining.size == 0:
-                converged = True
-                break
-            pivot_row = int(remaining[0])
-            continue
-        v = residual / pivot
-        u = evaluator.col(rows, int(cols[pivot_col]))
-        for uu, vv in zip(us, vs):
+                self.converged = True
+                self.done = True
+                return False
+            self.pivot_row = int(remaining[0])
+            self._end_step()
+            return False
+        self.v = residual / pivot
+        self.pivot_col = pivot_col
+        return True
+
+    def take_col(self, u: np.ndarray, tol: float) -> None:
+        """Consume the pivot column and finish the step."""
+        pivot_col = self.pivot_col
+        v = self.v
+        for uu, vv in zip(self.us, self.vs):
             u = u - vv[pivot_col] * uu
         norm_u2 = float(u @ u)
         norm_v2 = float(v @ v)
         cross = 0.0
-        for uu, vv in zip(us, vs):
+        for uu, vv in zip(self.us, self.vs):
             cross += float(u @ uu) * float(v @ vv)
-        frob2 = max(frob2 + norm_u2 * norm_v2 + 2.0 * cross, norm_u2 * norm_v2)
-        us.append(u)
-        vs.append(v)
-        if norm_u2 * norm_v2 <= tol * tol * frob2:
-            converged = True
-            break
-        if len(us) >= max_rank:
-            break
+        self.frob2 = max(
+            self.frob2 + norm_u2 * norm_v2 + 2.0 * cross, norm_u2 * norm_v2
+        )
+        self.us.append(u)
+        self.vs.append(v)
+        if norm_u2 * norm_v2 <= tol * tol * self.frob2:
+            self.converged = True
+            self.done = True
+            return
+        if len(self.us) >= self.max_rank:
+            self.done = True
+            return
         candidates = np.abs(u)
-        candidates[used] = -1.0
-        pivot_row = int(np.argmax(candidates))
-    if not converged or not us:
-        return None
-    rank = len(us)
-    if rank * (m + n) >= m * n:
-        return None
-    return np.stack(us, axis=1), np.stack(vs, axis=0)
+        candidates[self.used] = -1.0
+        self.pivot_row = int(np.argmax(candidates))
+        self._end_step()
+
+    def _end_step(self) -> None:
+        self.done = self.steps >= self.max_rank + self.rows.size
+
+    def rank(self) -> int:
+        if not self.converged or not self.us:
+            return 0
+        rank = len(self.us)
+        m, n = self.rows.size, self.cols.size
+        return 0 if rank * (m + n) >= m * n else rank
+
+
+def _aca_group(
+    evaluator: _PairEvaluator, live: List[_AcaBlock], tol: float
+) -> Iterator[_AcaBlock]:
+    """Run a group of ACA blocks in lockstep; yield each as it finishes.
+
+    A round evaluates every live block's pivot row in one kernel call,
+    then the pivot columns of the blocks that found a nonzero pivot in
+    one more.  Finished blocks leave the group at the end of the round,
+    so their factors can go to storage right away.
+    """
+    while live:
+        sizes = [block.cols.size for block in live]
+        residuals = evaluator.split_entries(
+            np.repeat([block.next_row() for block in live], sizes),
+            np.concatenate([block.cols for block in live]),
+            sizes,
+        )
+        pending = [
+            block
+            for block, residual in zip(live, residuals)
+            if block.take_row(residual)
+        ]
+        if pending:
+            sizes = [block.rows.size for block in pending]
+            columns = evaluator.split_entries(
+                np.concatenate([block.rows for block in pending]),
+                np.repeat(
+                    [block.cols[block.pivot_col] for block in pending], sizes
+                ),
+                sizes,
+            )
+            for block, column in zip(pending, columns):
+                block.take_col(column, tol)
+        yield from (block for block in live if block.done)
+        live = [block for block in live if not block.done]
 
 
 # ----------------------------------------------------------------------
@@ -987,9 +1082,13 @@ def _execute_plan_rows(
 
     The one evaluation routine shared by the serial path (private
     arrays) and the pool workers (shared-memory pool views), which is
-    what makes serial- and parallel-built operators bit-identical: the
-    kernel call sequence per block is fixed by the plan row, regardless
-    of which process runs it.
+    what makes serial- and parallel-built operators bit-identical: every
+    entry is the same elementwise kernel value and every block's ACA
+    the same arithmetic, whichever process and group run it.  Dense
+    rows are evaluated first, one kernel call each; the admissible rows
+    then compress in plan order, :data:`_ACA_GROUP` blocks at a time in
+    lockstep (:func:`_aca_group`), each written to its reservation as
+    soon as it finishes.
 
     Returns ``(kinds, ranks, spills)`` per plan row.  ``kinds`` uses
     the final block-table vocabulary; an admissible block whose ACA did
@@ -1002,34 +1101,51 @@ def _execute_plan_rows(
     kinds = np.empty(count, dtype=np.int64)
     ranks = np.zeros(count, dtype=np.int64)
     spills: Dict[int, np.ndarray] = {}
-    for idx in range(count):
-        a, b, plan_kind, offset, cap = (int(v) for v in plan[idx])
-        rows = np.arange(node_lo[a], node_hi[a])
-        cols = np.arange(node_lo[b], node_hi[b])
-        if plan_kind == _PLAN_DENSE:
-            block = evaluator.block(rows, cols)
-            dense_data[offset:offset + block.size] = block.ravel()
-            kinds[idx] = _KIND_DENSE
-            add_counter("hier_dense_blocks")
-            continue
-        factors = _aca(evaluator, rows, cols, tol, cap)
-        if factors is not None:
-            u, v = factors
-            lr_data[offset:offset + u.size] = u.ravel()
-            lr_data[offset + u.size:offset + u.size + v.size] = v.ravel()
-            kinds[idx] = _KIND_LOWRANK
-            ranks[idx] = u.shape[1]
-            add_counter("hier_lowrank_blocks")
-            continue
-        add_counter("hier_aca_fallbacks")
-        block = evaluator.block(rows, cols)
-        kinds[idx] = _KIND_DENSE_SPILL
-        if block.size <= cap * (rows.size + cols.size):
-            lr_data[offset:offset + block.size] = block.ravel()
-        else:
-            spills[idx] = block
-            add_counter("hier_spill_blocks")
+
+    def slots(idx: int) -> Tuple[np.ndarray, np.ndarray]:
+        a, b = plan[idx, :2]
+        return np.arange(node_lo[a], node_hi[a]), np.arange(node_lo[b], node_hi[b])
+
+    for idx in np.flatnonzero(plan[:, 2] == _PLAN_DENSE):
+        offset = int(plan[idx, 3])
+        block = evaluator.block(*slots(idx))
+        dense_data[offset:offset + block.size] = block.ravel()
+        kinds[idx] = _KIND_DENSE
         add_counter("hier_dense_blocks")
+    admissible = np.flatnonzero(plan[:, 2] == _PLAN_LOWRANK)
+    for lo in range(0, admissible.size, _ACA_GROUP):
+        # The group list is handed over, not kept: a finished block's
+        # factors are freed once they are stored.
+        finished = _aca_group(
+            evaluator,
+            [
+                _AcaBlock(int(idx), *slots(idx), int(plan[idx, 4]))
+                for idx in admissible[lo:lo + _ACA_GROUP]
+            ],
+            tol,
+        )
+        for done in finished:
+            idx = done.index
+            offset, cap = int(plan[idx, 3]), int(plan[idx, 4])
+            rank = done.rank()
+            if rank:
+                u = np.stack(done.us, axis=1)
+                v = np.stack(done.vs, axis=0)
+                lr_data[offset:offset + u.size] = u.ravel()
+                lr_data[offset + u.size:offset + u.size + v.size] = v.ravel()
+                kinds[idx] = _KIND_LOWRANK
+                ranks[idx] = rank
+                add_counter("hier_lowrank_blocks")
+                continue
+            add_counter("hier_aca_fallbacks")
+            block = evaluator.block(done.rows, done.cols)
+            kinds[idx] = _KIND_DENSE_SPILL
+            if block.size <= cap * (done.rows.size + done.cols.size):
+                lr_data[offset:offset + block.size] = block.ravel()
+            else:
+                spills[idx] = block
+                add_counter("hier_spill_blocks")
+            add_counter("hier_dense_blocks")
     return kinds, ranks, spills
 
 
@@ -1054,9 +1170,16 @@ def _assemble_operator(
     is adopted as-is (in the parallel path that is a zero-copy
     shared-memory view).  The factor pool is *reserved* per admissible
     block, so actual ranks leave gaps; those are squeezed out here into
-    a private, tightly packed ``lr_data`` -- fingerprints hash the
-    pools, and reservation gaps would otherwise hash nondeterministic
-    garbage.  Spilled dense fallbacks are appended in plan order.
+    a tightly packed ``lr_data`` -- fingerprints hash the pools, and
+    reservation gaps would otherwise hash nondeterministic garbage.
+    Spilled dense fallbacks are appended in plan order.
+
+    A private scratch (one that owns its buffer, i.e. not a shared
+    pool view) with no spills is compacted *in place* and shrunk: every
+    block's packed slot starts at or before its reservation, and plan
+    order visits them front to back, so no copy overwrites unread
+    factors, and the build never holds the reservation and a packed
+    copy at once.  The caller must hold no view of the scratch.
     """
     count = plan.shape[0]
     sizes_a = node_hi[plan[:, 0]] - node_lo[plan[:, 0]]
@@ -1069,7 +1192,9 @@ def _assemble_operator(
     lr_offsets = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(lr_sizes)]
     )
-    lr_data = np.empty(int(lr_offsets[-1]))
+    packed = int(lr_offsets[-1])
+    in_place = bool(lr_scratch.flags.owndata) and not spills
+    lr_data = lr_scratch if in_place else np.empty(packed)
     block_table = np.zeros((count, 5), dtype=np.int64)
     block_table[:, 0] = plan[:, 0]
     block_table[:, 1] = plan[:, 1]
@@ -1088,6 +1213,10 @@ def _assemble_operator(
         else:
             src = int(plan[idx, 3])
             lr_data[out_offset:out_offset + size] = lr_scratch[src:src + size]
+    if in_place:
+        # No reference check: the caller's own name for the scratch is
+        # the same object, and the views above are gone.
+        lr_data.resize(packed, refcheck=False)
     return LazyInductance(
         n=n,
         perm=perm,

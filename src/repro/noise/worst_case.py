@@ -65,10 +65,115 @@ class Alignment:
         return not self.aggressors
 
 
-def _clip_to_sensitive(
-    window: Window, sensitive: WindowSet
-) -> List[Window]:
-    return list(sensitive.intersect_window(window))
+def _window_bounds(windows: Sequence[Window]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` arrays of a window sequence."""
+    starts = np.array([w.start for w in windows], dtype=float)
+    ends = np.array([w.end for w in windows], dtype=float)
+    return starts, ends
+
+
+def _hot_segments(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    weights: np.ndarray,
+    mids: np.ndarray,
+    threshold: float,
+) -> np.ndarray:
+    """Per segment midpoint: does the summed estimate meet ``threshold``?
+
+    The summed estimate at ``mid`` is the weight of the pieces with
+    ``start <= mid <= end``: the prefix weight of pieces starting at or
+    before ``mid`` minus that of pieces ending before it.  That
+    difference can round differently from the masked sum, but both add
+    up positive weights, so they differ by less than ``slack``.  A
+    segment that close to the threshold is decided by the masked sum
+    itself, so every decision is the masked sum's.
+    """
+    by_start = np.argsort(starts, kind="stable")
+    by_end = np.argsort(ends, kind="stable")
+    started = np.concatenate([[0.0], np.cumsum(weights[by_start])])
+    ended = np.concatenate([[0.0], np.cumsum(weights[by_end])])
+    levels = (
+        started[np.searchsorted(starts[by_start], mids, side="right")]
+        - ended[np.searchsorted(ends[by_end], mids, side="left")]
+    )
+    slack = 4.0 * weights.size * np.finfo(float).eps * float(weights.sum())
+    for seg in np.flatnonzero(~(np.abs(levels - threshold) > slack)):
+        mid = mids[seg]
+        levels[seg] = float(weights[(starts <= mid) & (mid <= ends)].sum())
+    return levels >= threshold
+
+
+def _align_victim(
+    victim: int,
+    peak_row: np.ndarray,
+    area_row: np.ndarray,
+    switch_starts: np.ndarray,
+    switch_ends: np.ndarray,
+    sensitive: WindowSet,
+    threshold: float,
+) -> Alignment:
+    """Endpoint-sweep worst-case selection for one victim (see module).
+
+    ``switch_starts`` / ``switch_ends`` hold every net's switching
+    window; ``threshold`` is already resolved.
+    """
+    quiet = Alignment(victim, float("nan"), (), 0.0, 0.0, WindowSet(), ())
+    if sensitive.is_empty:
+        return quiet
+
+    # Every eligible net's window clipped to every sensitive window, in
+    # (net, sensitive window) order.  The sensitive windows are sorted
+    # and disjoint, so a net's pieces are too.
+    sens_starts, sens_ends = _window_bounds(sensitive.windows)
+    clip_starts = np.maximum(sens_starts[None, :], switch_starts[:, None])
+    clip_ends = np.minimum(sens_ends[None, :], switch_ends[:, None])
+    eligible = ~(peak_row <= 0.0)
+    eligible[victim] = False
+    owners, slots = np.nonzero((clip_starts <= clip_ends) & eligible[:, None])
+    if not owners.size:
+        return quiet
+    starts = clip_starts[owners, slots]
+    ends = clip_ends[owners, slots]
+    weights = peak_row[owners]
+    feasible = tuple(np.unique(owners).tolist())
+
+    # The summed estimate is piecewise constant with breakpoints at
+    # piece endpoints; with closed intervals every maximal segment
+    # contains at least one piece start, so sweeping starts is exact.
+    candidates = np.unique(starts)
+    membership = (starts[None, :] <= candidates[:, None]) & (
+        candidates[:, None] <= ends[None, :]
+    )
+    totals = membership @ weights
+    best = int(np.argmax(totals))
+    t_star = float(candidates[best])
+    active = membership[best]
+    aligned = tuple(np.unique(owners[active]).tolist())
+    peak = float(weights[active].sum())
+    area = float(area_row[owners][active].sum())
+
+    # Noise windows: segments between consecutive breakpoints whose
+    # midpoint-level summed estimate meets the threshold.  Runs of
+    # such segments touch, so each run is one merged window.
+    bounds = np.unique(np.concatenate([starts, ends]))
+    hot = _hot_segments(
+        starts, ends, weights, 0.5 * (bounds[:-1] + bounds[1:]), threshold
+    )
+    edges = np.diff(np.concatenate([[0], hot, [0]]))
+    noise = [
+        Window(float(bounds[lo]), float(bounds[hi]))
+        for lo, hi in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+    ]
+    return Alignment(
+        victim=victim,
+        time=t_star,
+        aggressors=aligned,
+        peak=peak,
+        area=area,
+        noise_windows=WindowSet(noise),
+        feasible=feasible,
+    )
 
 
 def worst_case_alignment(
@@ -90,65 +195,9 @@ def worst_case_alignment(
     :func:`repro.noise.receiver.resolve_threshold`).
     """
     threshold = resolve_threshold(threshold, receiver, vdd)
-    if sensitive.is_empty:
-        return Alignment(
-            victim, float("nan"), (), 0.0, 0.0, WindowSet(), ()
-        )
-
-    pieces: List[Window] = []
-    owners: List[int] = []
-    for net, window in enumerate(switching):
-        if net == victim or peak_row[net] <= 0.0:
-            continue
-        for piece in _clip_to_sensitive(window, sensitive):
-            pieces.append(piece)
-            owners.append(net)
-    if not pieces:
-        return Alignment(
-            victim, float("nan"), (), 0.0, 0.0, WindowSet(), ()
-        )
-
-    starts = np.array([p.start for p in pieces])
-    ends = np.array([p.end for p in pieces])
-    weights = peak_row[np.array(owners)]
-    feasible = tuple(sorted(set(owners)))
-
-    # The summed estimate is piecewise constant with breakpoints at
-    # piece endpoints; with closed intervals every maximal segment
-    # contains at least one piece start, so sweeping starts is exact.
-    candidates = np.unique(starts)
-    membership = (starts[None, :] <= candidates[:, None]) & (
-        candidates[:, None] <= ends[None, :]
-    )
-    totals = membership @ weights
-    best = int(np.argmax(totals))
-    t_star = float(candidates[best])
-    active = membership[best]
-    aligned = tuple(sorted(set(np.array(owners)[active].tolist())))
-    peak = float(weights[active].sum())
-    area = float(area_row[np.array(owners)][active].sum())
-
-    # Noise windows: segments between consecutive breakpoints whose
-    # midpoint-level summed estimate meets the threshold.
-    bounds = np.unique(np.concatenate([starts, ends]))
-    noise: List[Window] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = 0.5 * (lo + hi)
-        level = float(
-            weights[(starts <= mid) & (mid <= ends)].sum()
-        )
-        if level >= threshold:
-            noise.append(Window(float(lo), float(hi)))
-    # Point segments at breakpoints (e.g. two windows touching) are
-    # covered by the interval merge when adjacent segments qualify.
-    return Alignment(
-        victim=victim,
-        time=t_star,
-        aggressors=aligned,
-        peak=peak,
-        area=area,
-        noise_windows=WindowSet(noise),
-        feasible=feasible,
+    return _align_victim(
+        victim, peak_row, area_row, *_window_bounds(switching), sensitive,
+        threshold,
     )
 
 
@@ -166,9 +215,10 @@ def align_all(
     if len(switching) != num_wires or len(sensitive) != num_wires:
         raise ValueError("windows must have one entry per wire")
     threshold = resolve_threshold(threshold, receiver, vdd)
+    switch_starts, switch_ends = _window_bounds(switching)
     return [
-        worst_case_alignment(
-            victim, peak[victim], area[victim], switching,
+        _align_victim(
+            victim, peak[victim], area[victim], switch_starts, switch_ends,
             sensitive[victim], threshold,
         )
         for victim in range(num_wires)

@@ -26,12 +26,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.extraction.hierarchical as hierarchical
+from repro.bench.extraction_scale import scale_geometry
 from repro.extraction.hierarchical import (
     DEFAULT_CONFIG,
     HierarchicalConfig,
     LazyInductance,
+    _KIND_DENSE,
+    _KIND_DENSE_SPILL,
+    _KIND_LOWRANK,
+    _PLAN_DENSE,
+    _PLAN_LOWRANK,
+    _PairEvaluator,
+    _execute_plan_rows,
     hierarchical_blocks,
 )
+from repro.extraction.inductance import axis_geometry, clear_gmd_cache
 from repro.extraction.parasitics import Parasitics, extract
 from repro.geometry.bus import aligned_bus, nonaligned_bus
 from repro.geometry.crossbar import crossbar
@@ -625,3 +635,293 @@ class TestBenchSuite:
             checksums[("window_solve_scale", "hierarchical-iterative")]
             == checksums[("window_solve_scale", "hierarchical")]
         )
+
+
+# ----------------------------------------------------------------------
+# Lockstep ACA against the single-block reference
+# ----------------------------------------------------------------------
+def _aca(evaluator, rows, cols, tol, max_rank):
+    """Reference: partially pivoted ACA of one admissible block, or ``None``.
+
+    The single-block loop, one kernel call per pivot row and one per
+    pivot column; the lockstep groups of ``_execute_plan_rows`` must
+    reproduce its factors bit for bit.  Builds ``U (m, k)`` and
+    ``V (k, n)`` with an estimated relative Frobenius error
+    ``||A - U V||_F <= tol ||A||_F``; ``None`` when the block refuses to
+    converge within ``max_rank`` or the factors would not be smaller
+    than the dense block.
+    """
+    m, n = rows.size, cols.size
+    us = []
+    vs = []
+    used = np.zeros(m, dtype=bool)
+    pivot_row = 0
+    frob2 = 0.0
+    converged = False
+    steps = 0
+    while steps < max_rank + m:
+        steps += 1
+        residual = evaluator.entries(np.full(n, rows[pivot_row]), cols)
+        for u, v in zip(us, vs):
+            residual = residual - u[pivot_row] * v
+        used[pivot_row] = True
+        pivot_col = int(np.argmax(np.abs(residual)))
+        pivot = residual[pivot_col]
+        if pivot == 0.0:
+            remaining = np.flatnonzero(~used)
+            if remaining.size == 0:
+                converged = True
+                break
+            pivot_row = int(remaining[0])
+            continue
+        v = residual / pivot
+        u = evaluator.entries(rows, np.full(m, cols[pivot_col]))
+        for uu, vv in zip(us, vs):
+            u = u - vv[pivot_col] * uu
+        norm_u2 = float(u @ u)
+        norm_v2 = float(v @ v)
+        cross = 0.0
+        for uu, vv in zip(us, vs):
+            cross += float(u @ uu) * float(v @ vv)
+        frob2 = max(frob2 + norm_u2 * norm_v2 + 2.0 * cross, norm_u2 * norm_v2)
+        us.append(u)
+        vs.append(v)
+        if norm_u2 * norm_v2 <= tol * tol * frob2:
+            converged = True
+            break
+        if len(us) >= max_rank:
+            break
+        candidates = np.abs(u)
+        candidates[used] = -1.0
+        pivot_row = int(np.argmax(candidates))
+    if not converged or not us:
+        return None
+    rank = len(us)
+    if rank * (m + n) >= m * n:
+        return None
+    return np.stack(us, axis=1), np.stack(vs, axis=0)
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class _MatrixEvaluator(_PairEvaluator):
+    """The kernel as an explicit matrix: entry ``(i, j)`` is ``matrix[i, j]``."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def entries(self, i, j):
+        return self.matrix[np.asarray(i), np.asarray(j)]
+
+
+def _execute_against_reference(matrix, specs, tol=1e-8):
+    """Run plan rows over ``matrix`` and check each against the reference.
+
+    ``specs`` are ``((row_lo, m), (col_lo, n), cap)`` blocks; ``cap=0``
+    plans the block dense.  Returns each admissible block's rank (0 for
+    a dense fallback), the executed kinds and the spills.
+    """
+    node_lo, node_hi, rows = [], [], []
+    dense_total = lr_total = 0
+    for (row_lo, m), (col_lo, n), cap in specs:
+        a = len(node_lo)
+        node_lo += [row_lo, col_lo]
+        node_hi += [row_lo + m, col_lo + n]
+        if cap:
+            rows.append((a, a + 1, _PLAN_LOWRANK, lr_total, cap))
+            lr_total += cap * (m + n)
+        else:
+            rows.append((a, a + 1, _PLAN_DENSE, dense_total, 0))
+            dense_total += m * n
+    node_lo, node_hi = np.array(node_lo), np.array(node_hi)
+    plan = np.array(rows, dtype=np.int64)
+    evaluator = _MatrixEvaluator(matrix)
+    dense_data = np.full(dense_total, np.nan)
+    lr_data = np.full(lr_total, np.nan)
+    kinds, ranks, spills = _execute_plan_rows(
+        evaluator, node_lo, node_hi, plan, dense_data, lr_data, tol
+    )
+    outcomes = []
+    for idx, (a, b, plan_kind, offset, cap) in enumerate(plan):
+        block_rows = np.arange(node_lo[a], node_hi[a])
+        block_cols = np.arange(node_lo[b], node_hi[b])
+        exact = matrix[np.ix_(block_rows, block_cols)]
+        if plan_kind == _PLAN_DENSE:
+            assert kinds[idx] == _KIND_DENSE
+            assert _bitwise(dense_data[offset:offset + exact.size], exact.ravel())
+            continue
+        factors = _aca(evaluator, block_rows, block_cols, tol, cap)
+        if factors is None:
+            assert kinds[idx] == _KIND_DENSE_SPILL and ranks[idx] == 0
+            stored = (
+                spills[idx] if idx in spills
+                else lr_data[offset:offset + exact.size]
+            )
+            assert _bitwise(np.ravel(stored), exact.ravel())
+            outcomes.append(0)
+            continue
+        u, v = factors
+        assert kinds[idx] == _KIND_LOWRANK and ranks[idx] == u.shape[1]
+        assert _bitwise(lr_data[offset:offset + u.size], u.ravel())
+        assert _bitwise(
+            lr_data[offset + u.size:offset + u.size + v.size], v.ravel()
+        )
+        outcomes.append(u.shape[1])
+    return outcomes, kinds, spills
+
+
+class TestLockstepAca:
+    """Admissible blocks compress in lockstep groups, factor for factor
+    the single-block reference above."""
+
+    def test_exact_rank_integer_block_repicks_zero_pivots(self):
+        # Rank one with integer entries and a power-of-two largest |b|:
+        # the first pivot row is all zeros (a re-pick before any
+        # factor), and after one step every residual is exactly zero,
+        # so the remaining rows are re-picked until none is left --
+        # convergence by exhaustion.
+        a = np.array([0, 3, -1, 0, 2, 5, 0, 1, -2, 4], dtype=float)
+        b = np.array([1, -3, 8, 2, 0, 5, -7, 4, 6, -1, 3, 2], dtype=float)
+        matrix = np.zeros((22, 22))
+        matrix[:10, 10:] = np.outer(a, b)
+        # A rank-two integer block rides in the same group.
+        matrix[10:, :10] = np.outer(b, a) + np.outer(np.arange(12), a[::-1])
+        outcomes, _, _ = _execute_against_reference(
+            matrix, [((0, 10), (10, 12), 10), ((10, 12), (0, 10), 10)]
+        )
+        assert outcomes[0] == 1
+        assert outcomes[1] >= 2
+
+    def test_full_rank_block_with_small_cap_falls_back_to_dense(self):
+        matrix = np.random.default_rng(5).normal(size=(40, 40))
+        # 16 x 16 at cap 3 outgrows its 3 * 32 reservation (a spill);
+        # 4 x 20 at cap 4 fits its 4 * 24 one.
+        outcomes, kinds, spills = _execute_against_reference(
+            matrix, [((0, 16), (16, 16), 3), ((32, 4), (12, 20), 4)]
+        )
+        assert outcomes == [0, 0]
+        assert list(kinds) == [_KIND_DENSE_SPILL] * 2
+        assert set(spills) == {0}
+
+    @pytest.mark.parametrize("group", [5, None])
+    def test_mixed_group_crosses_group_boundaries(self, monkeypatch, group):
+        if group is not None:
+            monkeypatch.setattr(hierarchical, "_ACA_GROUP", group)
+        rng = np.random.default_rng(7)
+        points = np.sort(rng.uniform(0.0, 1000.0, size=600))
+        matrix = 1.0 / (1.0 + np.abs(points[:, None] - points[None, :]))
+        specs = []
+        for k in range(80):
+            m, n = (int(s) for s in rng.integers(8, 41, size=2))
+            row_lo = int(rng.integers(0, 250))
+            col_lo = min(row_lo + m + int(rng.integers(m + n, 200)), 600 - n)
+            # Every eighth block is planned dense.
+            cap = 0 if k % 8 == 3 else min(int(rng.choice([2, 6, 64])), m, n)
+            specs.append(((row_lo, m), (col_lo, n), cap))
+        outcomes, kinds, spills = _execute_against_reference(matrix, specs)
+        assert len(outcomes) == 70
+        assert {_KIND_DENSE, _KIND_LOWRANK, _KIND_DENSE_SPILL} <= set(kinds)
+        assert spills
+        assert len(set(outcomes) - {0}) > 2
+
+    def test_scale_1024_blocks_equal_the_reference(self):
+        system = scale_geometry(1024)
+        clear_gmd_cache()
+        with collect() as profile:
+            ((axis, (indices, operator)),) = hierarchical_blocks(system).items()
+        # One call per pivot row and per pivot column would make 914.
+        assert profile.counters["hier_kernel_calls"] <= 300
+        lengths, widths, thicknesses, starts, centers = axis_geometry(
+            system, indices, axis
+        )
+        perm = operator.perm
+        evaluator = _PairEvaluator(
+            lengths[perm], widths[perm], thicknesses[perm], starts[perm],
+            centers[perm], perm, True,
+        )
+        clear_gmd_cache()
+        config = DEFAULT_CONFIG
+        table = operator.block_table
+        assert np.sum(table[:, 2] == _KIND_LOWRANK) == 22
+        for a, b, kind, _, rank in table:
+            rows = np.arange(operator.node_lo[a], operator.node_hi[a])
+            cols = np.arange(operator.node_lo[b], operator.node_hi[b])
+            _, first, second = operator._blocks[(int(a), int(b))]
+            if kind == _KIND_DENSE:
+                assert _bitwise(first, evaluator.block(rows, cols))
+                continue
+            cap = min(config.max_rank, rows.size, cols.size)
+            factors = _aca(evaluator, rows, cols, config.cutoff, cap)
+            if factors is None:
+                assert kind == _KIND_DENSE_SPILL
+                assert _bitwise(first, evaluator.block(rows, cols))
+                continue
+            u, v = factors
+            assert kind == _KIND_LOWRANK and rank == u.shape[1]
+            assert _bitwise(first, u) and _bitwise(second, v)
+
+
+@pytest.fixture(scope="module")
+def scale_4096_build():
+    """One serial build of ``scale_geometry(4096)`` from a cold GMD memo:
+    the operator, its counters and the factor scratch it was handed."""
+    scratch = {}
+    real = hierarchical._assemble_operator
+
+    def capture(*args):
+        scratch["array"] = args[-1]
+        scratch["reserved"] = args[-1].size
+        return real(*args)
+
+    system = scale_geometry(4096)
+    clear_gmd_cache()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hierarchical, "_assemble_operator", capture)
+        with collect() as profile:
+            ((_, operator),) = hierarchical_blocks(system).values()
+    return operator, dict(profile.counters), scratch
+
+
+class TestLockstepScale:
+    def test_kernel_calls_and_entries_at_4096(self, scale_4096_build):
+        _, counters, _ = scale_4096_build
+        # One call per pivot row and per pivot column would make 17 058.
+        assert counters["hier_kernel_calls"] <= 2000
+        # The same entries are evaluated, and the GMD memo resolves the
+        # same keys.
+        assert counters["hier_kernel_entries"] == 3617088
+        assert counters["gmd_unique_evals"] == 184
+        assert counters["gmd_cache_hits"] == 36864
+
+    def test_serial_build_compacts_the_scratch_in_place(self, scale_4096_build):
+        operator, _, scratch = scale_4096_build
+        assert operator.lr_data is scratch["array"]
+        assert operator.lr_data.flags.owndata
+        assert operator.lr_data.size < scratch["reserved"]
+
+    def test_pool_and_spill_builds_copy(self, monkeypatch):
+        scratch_ids = []
+        real = hierarchical._assemble_operator
+
+        def capture(*args):
+            scratch_ids.append(id(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(hierarchical, "_assemble_operator", capture)
+        system = nonaligned_bus(24, segments_per_line=4, offset_jitter=0.3)
+        ((_, pooled),) = hierarchical_blocks(
+            system, config=TEST_CONFIG, jobs=2
+        ).values()
+        spill_config = HierarchicalConfig(leaf_size=8, cutoff=1e-12, max_rank=2)
+        with collect() as profile:
+            ((_, spilled),) = hierarchical_blocks(
+                system, config=spill_config
+            ).values()
+        assert profile.counters["hier_spill_blocks"] > 0
+        # Each packed copy was allocated while its scratch was alive.
+        assert id(pooled.lr_data) != scratch_ids[0]
+        assert id(spilled.lr_data) != scratch_ids[1]
+        assert pooled.lr_data.flags.owndata and spilled.lr_data.flags.owndata

@@ -148,6 +148,47 @@ class TestAcceptance64Bit:
                 assert 0.0 <= window.start <= window.end <= period
 
 
+class TestDenseHierarchicalTwin:
+    """The screen decides the same victims on the compressed ``L``.
+
+    ``scale_geometry(1024)`` is the smallest rung of the scale family
+    whose tree stores low-rank far-field blocks at the default cutoff,
+    so this is the decision twin of dense vs hierarchical extraction at
+    ``cutoff > 0``.  Screen peaks differ by ~2e-10 relative.
+    """
+
+    @pytest.fixture(scope="class")
+    def twins(self):
+        from repro.bench.extraction_scale import scale_geometry
+
+        system = scale_geometry(1024)
+        dense = extract(system)
+        hier = extract(system, method="hierarchical")
+        (_, operator), = hier.inductance_blocks.values()
+        assert operator.compression_stats()["lowrank_blocks"] > 0
+        return dense, hier
+
+    @pytest.mark.parametrize(
+        "fraction, escalated", [(0.1, 125), (0.2, 5), (0.3, 0)]
+    )
+    def test_escalations_and_peaks_agree(self, twins, fraction, escalated):
+        from repro.experiments.runner import gw_spec
+        from repro.noise.engine import screen_scenario
+
+        config = NoiseConfig(threshold_fraction=fraction)
+        dense, hier = (
+            screen_scenario(parasitics, gw_spec(8), config).screen
+            for parasitics in twins
+        )
+        assert len(dense.escalated) == escalated
+        assert [a.victim for a in hier.escalated] == [
+            a.victim for a in dense.escalated
+        ]
+        dense_peaks = np.array([a.peak for a in dense.alignments])
+        hier_peaks = np.array([a.peak for a in hier.alignments])
+        np.testing.assert_allclose(hier_peaks, dense_peaks, rtol=1e-8, atol=0)
+
+
 class TestIterativeTransientTwins:
     """``spec.solver == "iterative"`` routes escalated-victim transients
     through the iterative-first sparse tier; decisions must match the

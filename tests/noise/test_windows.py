@@ -1,10 +1,14 @@
 """Window-algebra unit tests: overlap, containment and empty-window
 edge cases, plus exact worst-case alignment sets on hand-built window
 configurations (zero-width windows, fully disjoint aggressors, the
-all-aligned worst case)."""
+all-aligned worst case), and a property pinning the array sweep to the
+per-net, per-segment reference loops field for field."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.noise.windows import (
     Window,
@@ -14,7 +18,7 @@ from repro.noise.windows import (
     staggered_schedule,
     switching_windows,
 )
-from repro.noise.worst_case import align_all, worst_case_alignment
+from repro.noise.worst_case import Alignment, align_all, worst_case_alignment
 
 
 class TestWindow:
@@ -302,3 +306,210 @@ class TestWorstCaseAlignment:
         results = align_all(peak, peak, switching, sensitive, 1.0)
         assert results[0].time == pytest.approx(10.0)
         assert results[0].aggressors == (2,)
+
+
+# ----------------------------------------------------------------------
+# The array sweep against the per-net, per-segment reference loops
+# ----------------------------------------------------------------------
+def _clip_to_sensitive(window, sensitive):
+    return list(sensitive.intersect_window(window))
+
+
+def _reference_alignment(
+    victim, peak_row, area_row, switching, sensitive, threshold
+):
+    """Reference: the endpoint sweep as per-net and per-segment loops.
+
+    Clips each net's switching window through the window algebra, one
+    net at a time, and sums each segment's level with a masked sum.
+    """
+    if sensitive.is_empty:
+        return Alignment(
+            victim, float("nan"), (), 0.0, 0.0, WindowSet(), ()
+        )
+
+    pieces = []
+    owners = []
+    for net, window in enumerate(switching):
+        if net == victim or peak_row[net] <= 0.0:
+            continue
+        for piece in _clip_to_sensitive(window, sensitive):
+            pieces.append(piece)
+            owners.append(net)
+    if not pieces:
+        return Alignment(
+            victim, float("nan"), (), 0.0, 0.0, WindowSet(), ()
+        )
+
+    starts = np.array([p.start for p in pieces])
+    ends = np.array([p.end for p in pieces])
+    weights = peak_row[np.array(owners)]
+    feasible = tuple(sorted(set(owners)))
+
+    candidates = np.unique(starts)
+    membership = (starts[None, :] <= candidates[:, None]) & (
+        candidates[:, None] <= ends[None, :]
+    )
+    totals = membership @ weights
+    best = int(np.argmax(totals))
+    t_star = float(candidates[best])
+    active = membership[best]
+    aligned = tuple(sorted(set(np.array(owners)[active].tolist())))
+    peak = float(weights[active].sum())
+    area = float(area_row[np.array(owners)][active].sum())
+
+    bounds = np.unique(np.concatenate([starts, ends]))
+    noise = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid = 0.5 * (lo + hi)
+        level = float(
+            weights[(starts <= mid) & (mid <= ends)].sum()
+        )
+        if level >= threshold:
+            noise.append(Window(float(lo), float(hi)))
+    return Alignment(
+        victim=victim,
+        time=t_star,
+        aggressors=aligned,
+        peak=peak,
+        area=area,
+        noise_windows=WindowSet(noise),
+        feasible=feasible,
+    )
+
+
+def _segment_levels(victim, peak_row, switching, sensitive):
+    """Every segment level the reference compares with the threshold."""
+    pieces = [
+        (piece, peak_row[net])
+        for net, window in enumerate(switching)
+        if net != victim and not peak_row[net] <= 0.0
+        for piece in _clip_to_sensitive(window, sensitive)
+    ]
+    if not pieces:
+        return []
+    starts = np.array([p.start for p, _ in pieces])
+    ends = np.array([p.end for p, _ in pieces])
+    weights = np.array([w for _, w in pieces])
+    bounds = np.unique(np.concatenate([starts, ends]))
+    return [
+        float(weights[(starts <= mid) & (mid <= ends)].sum())
+        for mid in 0.5 * (bounds[:-1] + bounds[1:])
+    ]
+
+
+def _assert_same(got, want):
+    assert got.victim == want.victim
+    assert got.time == want.time or (
+        math.isnan(got.time) and math.isnan(want.time)
+    )
+    assert got.aggressors == want.aggressors
+    assert got.peak == want.peak
+    assert got.area == want.area
+    assert got.noise_windows == want.noise_windows
+    assert got.feasible == want.feasible
+
+
+#: Weights with equal-value ties, zeros and negatives (never aggressors),
+#: and tenths whose sums round differently in different orders.
+_WEIGHTS = st.one_of(
+    st.sampled_from([-0.2, 0.0, 0.1, 0.2, 0.3, 0.7]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+@st.composite
+def _schedules(draw):
+    """Small integer-grid schedules: ties, touching and zero-width
+    windows, empty sensitive sets."""
+    nets = draw(st.integers(min_value=1, max_value=7))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-11]))
+
+    def window(lo, width):
+        return Window(lo * scale, (lo + width) * scale)
+
+    switching = [
+        window(draw(st.integers(0, 12)), draw(st.sampled_from([0, 0, 1, 2, 3, 5])))
+        for _ in range(nets)
+    ]
+    sensitive = [
+        WindowSet(
+            window(lo, width)
+            for lo, width in draw(
+                st.lists(
+                    st.tuples(st.integers(0, 14), st.sampled_from([0, 1, 2, 4, 8])),
+                    max_size=3,
+                )
+            )
+        )
+        for _ in range(nets)
+    ]
+    rows = st.lists(_WEIGHTS, min_size=nets, max_size=nets)
+    peak = np.array(draw(st.lists(rows, min_size=nets, max_size=nets)))
+    area = np.array(draw(st.lists(rows, min_size=nets, max_size=nets)))
+    return switching, sensitive, peak, area
+
+
+class TestArraySweepMatchesReference:
+    @settings(deadline=None, max_examples=300)
+    @given(schedule=_schedules(), data=st.data())
+    def test_every_field_equals_the_reference(self, schedule, data):
+        switching, sensitive, peak, area = schedule
+        nets = len(switching)
+        levels = [
+            level
+            for victim in range(nets)
+            for level in _segment_levels(
+                victim, peak[victim], switching, sensitive[victim]
+            )
+        ]
+        # A threshold equal to a segment's level is decided by the exact
+        # re-check, not by the prefix sums.
+        choices = [st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0])]
+        if levels:
+            choices.append(st.sampled_from(levels))
+        threshold = data.draw(st.one_of(*choices))
+        want = [
+            _reference_alignment(
+                victim, peak[victim], area[victim], switching,
+                sensitive[victim], threshold,
+            )
+            for victim in range(nets)
+        ]
+        for got, expected in zip(
+            align_all(peak, area, switching, sensitive, threshold), want
+        ):
+            _assert_same(got, expected)
+        victim = data.draw(st.integers(0, nets - 1))
+        _assert_same(
+            worst_case_alignment(
+                victim, peak[victim], area[victim], switching,
+                sensitive[victim], threshold,
+            ),
+            want[victim],
+        )
+
+    def test_threshold_on_a_level_is_decided_exactly(self):
+        # The segment [2, 10] carries only wire 2 (0.1), but its prefix
+        # sums give (0.7 + 0.1) - 0.7 = 0.09999999999999998: below a
+        # threshold of exactly 0.1 that the masked sum meets.
+        switching = [
+            Window(500.0, 501.0),
+            Window(0.0, 1.0),
+            Window(2.0, 10.0),
+        ]
+        sensitive = WindowSet([Window(0.0, 400.0)])
+        peak_row = np.array([0.0, 0.7, 0.1])
+        result = worst_case_alignment(
+            0, peak_row, peak_row, switching, sensitive, 0.1
+        )
+        assert result.noise_windows.windows == (
+            Window(0.0, 1.0),
+            Window(2.0, 10.0),
+        )
+        _assert_same(
+            result,
+            _reference_alignment(
+                0, peak_row, peak_row, switching, sensitive, 0.1
+            ),
+        )
