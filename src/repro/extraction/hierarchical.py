@@ -948,18 +948,6 @@ class LazyInductance:
         self.__dict__.update(rebuilt.__dict__)
 
 
-def is_lazy_block(block: Any) -> bool:
-    """True for hierarchical operator blocks (vs plain dense ndarrays)."""
-    return isinstance(block, LazyInductance)
-
-
-def dense_block(block: Any) -> np.ndarray:
-    """A plain ndarray view of a block, materializing operators."""
-    if isinstance(block, LazyInductance):
-        return block.toarray()
-    return np.asarray(block)
-
-
 # ----------------------------------------------------------------------
 # Builder
 # ----------------------------------------------------------------------
@@ -1580,10 +1568,3 @@ def hierarchical_blocks(
             )
         return blocks
 
-
-def iter_axis_blocks(
-    parasitics_blocks: Dict[Axis, Tuple[List[int], Any]],
-) -> Iterator[Tuple[Axis, List[int], Any]]:
-    """Uniform iteration over dense-or-hierarchical block dicts."""
-    for axis, (indices, block) in parasitics_blocks.items():
-        yield axis, indices, block

@@ -8,11 +8,14 @@ potential aggressor:
    (:mod:`repro.noise.worst_case`).  Victims whose aligned bound stays
    below the failure threshold are *screened out* -- they can never
    fail, by conservatism of the bound -- and cost nothing further.
-2. **Simulate** -- each screened-in victim becomes one scenario column
-   of a batched :func:`~repro.circuit.transient.transient_analysis_multi`
-   call (its aligned aggressors launch at the alignment instant, every
-   other driver holds quiet), so columns sharing a testbench circuit
-   share one MNA assembly and one LU factorization.
+2. **Simulate** -- each screened-in victim is one escalated column: its
+   aligned aggressors launch at the alignment instant, every other
+   wire holds quiet.  Columns sharing a testbench circuit share one
+   model build and one
+   :func:`~repro.circuit.transient.transient_analysis_multi` march with
+   one unit-ramp column per *driven source*, not per victim; the linear
+   testbench gives every victim's waveform as a sum of time-shifted
+   ramp responses of its aggressors (superposition).
 
 The flow is written once, as a plan over scenarios shaped like the
 hierarchical extractor's plan/execute split: :func:`screen_scenario` is
@@ -51,7 +54,7 @@ import numpy as np
 from repro.bench.results import array_checksum
 from repro.circuit.sources import Stimulus, dc, step
 from repro.circuit.transient import transient_analysis, transient_analysis_multi
-from repro.circuit.waveform import Waveform
+from repro.circuit.waveform import TransientResult, Waveform
 from repro.constants import DRIVER_RESISTANCE, LOAD_CAPACITANCE, VDD
 from repro.experiments.runner import ModelSpec, build_model, gw_spec
 from repro.extraction.parasitics import Parasitics
@@ -83,13 +86,12 @@ from repro.pipeline.cache import (
 from repro.pipeline.hashing import stable_hash
 from repro.pipeline.profiling import StageProfile, add_counter, stage
 
-#: Column cap per batched transient call.  The per-step cost of a
-#: multi-RHS march is nearly flat up to this many columns (the LU
-#: triangular solves dominate), then grows superlinearly as the dense
-#: right-hand-side block stops fitting cache -- measured on the 64-bit
-#: bus: 8 columns cost ~1.05x of 4, but 64 columns cost ~13x.  Chunking
-#: keeps every call in the flat regime while still sharing one model
-#: build per simulate item.
+#: Source-column cap per escalation march.  It bounds the dense
+#: ``(steps, size, columns)`` right-hand-side block of a march: on the
+#: 64-bit bus with every victim escalated (64 driven sources), three
+#: capped marches take no longer than one uncapped march (5.2-7.1 s
+#: against 6.0-7.0 s over three runs, 2-CPU host, one BLAS thread) but
+#: peak at 544 MB of resident memory instead of 825 MB.
 MAX_COLUMNS_PER_SIM = 24
 
 #: Transient-solve policy of iterative-solver noise scans: the sparse
@@ -372,10 +374,10 @@ class EscalationTierResult:
 
     ``metrics`` maps ``(owner, victim)`` -- the owning scenario's index
     in the plan and the victim wire -- to (peak, area) over the victim's
-    sensitive windows.  Every column is an independent RHS of its
-    item's factorization, integrated on the fixed ``k * dt`` grid and
-    truncated to its owner's horizon, so results of items simulated
-    separately merge by dict union, bit-identical to one big batch.
+    sensitive windows.  Each column's waveform is superposed from its
+    aggressors' unit-ramp responses on the fixed ``k * dt`` grid, on
+    exactly its owner's ``ceil(horizon / dt) + 1`` samples, so results
+    of items simulated separately merge by dict union.
     """
 
     metrics: Dict[Tuple[int, int], Tuple[float, float]]
@@ -430,9 +432,9 @@ def escalation_horizon(
     rise and settle time.
 
     Computed once over the scenario's *whole* escalated set: every
-    column of the scenario is truncated to this horizon, whichever
-    simulate item or chunk integrated it, so its masked metrics (and
-    hence checksums) never depend on how the plan split the work.
+    column of the scenario is built on this horizon's samples, whichever
+    simulate item integrated it, so its masked metrics never depend on
+    how the plan split the work.
     """
     launches = [
         max(_launch_time(a.time, switching[agg]) for agg in a.aggressors)
@@ -475,8 +477,8 @@ class ScreenedScenario:
 
         The circuit is fixed by the parasitics, the model spec and the
         electrical knobs below; such scenarios differ only in their
-        stimulus columns, so their escalated victims merge into one
-        multi-RHS batch.
+        stimuli, so their escalated victims merge into one simulate item
+        and share its source columns.
         """
         config = self.config
         return (
@@ -492,7 +494,7 @@ class ScreenedScenario:
 
 @dataclass(frozen=True)
 class EscalatedColumn:
-    """One escalated victim: a scenario column of a batched transient."""
+    """One escalated victim of a simulate item."""
 
     #: Index of the owning scenario in the plan.
     owner: int
@@ -510,8 +512,7 @@ class SimulateItem:
 
     ``config`` carries the circuit's electrical knobs (equal across the
     owners, see :attr:`ScreenedScenario.circuit`).  Columns are sorted by
-    horizon, so each chunk of :meth:`chunks` integrates only as far as
-    its own latest owner needs.
+    horizon.
     """
 
     source: Any
@@ -519,12 +520,16 @@ class SimulateItem:
     config: NoiseConfig
     columns: Tuple[EscalatedColumn, ...]
 
-    def chunks(self) -> List[Tuple[EscalatedColumn, ...]]:
-        """The columns in runs of at most :data:`MAX_COLUMNS_PER_SIM`,
-        one :func:`transient_analysis_multi` call each."""
+    def chunks(self) -> List[Tuple[int, ...]]:
+        """The item's driven sources (aggressor wires, ascending) in runs
+        of at most :data:`MAX_COLUMNS_PER_SIM`, one
+        :func:`transient_analysis_multi` call each."""
+        sources = sorted(
+            {agg for column in self.columns for agg, _ in column.launches}
+        )
         return [
-            self.columns[lo: lo + MAX_COLUMNS_PER_SIM]
-            for lo in range(0, len(self.columns), MAX_COLUMNS_PER_SIM)
+            tuple(sources[lo: lo + MAX_COLUMNS_PER_SIM])
+            for lo in range(0, len(sources), MAX_COLUMNS_PER_SIM)
         ]
 
 
@@ -540,10 +545,11 @@ def screen_scenario(
     """The screen item of one planned scenario.
 
     ``switching`` gives each wire's driver *launch* window; by default
-    the seeded scattered schedule of :func:`staggered_schedule`.  With a
-    cache, a stored report under the scan's key short-circuits the
-    scenario; otherwise the screen tier runs and fixes the scenario's
-    own escalation horizon.
+    the seeded scattered schedule of :func:`staggered_schedule`.  No
+    window may start before ``t = 0`` (``ValueError`` naming the wire).
+    With a cache, a stored report under the scan's key short-circuits
+    the scenario; otherwise the screen tier runs and fixes the
+    scenario's own escalation horizon.
     """
     start = time.perf_counter()
     num_wires = parasitics.system.num_wires
@@ -560,6 +566,14 @@ def screen_scenario(
             f"switching must have one window per wire ({num_wires}), "
             f"got {len(switching)}"
         )
+    for wire, window in enumerate(switching):
+        if window.start < 0:
+            # The escalation tier superposes responses from the
+            # all-quiet 0 V start, which a launch before t = 0 breaks.
+            raise ValueError(
+                f"wire {wire}'s switching window starts at "
+                f"{window.start:.6g} s, before t = 0"
+            )
     screened = ScreenedScenario(source, spec, config, switching)
     if cache is not None:
         screened.key = noise_scan_key(
@@ -628,18 +642,38 @@ def plan_simulations(
     return items
 
 
-def _truncated(waveform: Waveform, horizon: float, dt: float) -> Waveform:
-    """The waveform an independent scan at ``horizon`` would produce.
+def _grid_offset(delay: float, dt: float) -> Tuple[int, float]:
+    """``(m, f)``: ``delay = (m + f) * dt``, ``m`` whole, ``0 <= f < 1``."""
+    position = delay / dt
+    whole = int(np.floor(position))
+    return whole, position - whole
 
-    The integrator's grid is ``arange(steps + 1) * dt`` -- sample times
-    are exact multiples of ``dt`` independent of ``t_stop`` -- and time
-    marching is forward-only, so the first samples of a longer batch
-    are bit-identical to a shorter run's.  Truncating the shared-batch
-    waveform to the owner's own step count therefore reproduces the
-    independent scan exactly.
+
+def _ramp_knot(ratio: float) -> Optional[int]:
+    """The one sample after a launch that the two-sample ramp blend misses.
+
+    A clipped ramp launched at ``(m + f) * dt`` samples to the blend
+    ``(1 - f) r[k - m] + f r[k - m - 1]`` of the unit ramp ``r`` launched
+    at 0, wherever no kink of the ramp falls strictly between two grid
+    points.  Its start kink sits on the grid; its end kink, ``ratio =
+    rise / dt`` samples in, does too unless that ratio is fractional --
+    then the blend is wrong at sample ``m + ceil(ratio)`` only.  Returns
+    that offset ``ceil(ratio)``, or ``None`` when the ratio is whole.
     """
-    steps = int(np.ceil(horizon / dt))
-    return Waveform(t=waveform.t[: steps + 1], v=waveform.v[: steps + 1])
+    if abs(ratio - round(ratio)) <= 1e-9 * ratio:
+        return None
+    return int(np.ceil(ratio))
+
+
+def _ramp_residual(knot: int, fraction: float, ratio: float) -> float:
+    """Unit-ramp sample minus its two-sample blend at ``knot`` samples
+    after the launch's grid point (see :func:`_ramp_knot`)."""
+
+    def ramp(samples: float) -> float:
+        return min(max(samples / ratio, 0.0), 1.0)
+
+    blend = (1.0 - fraction) * ramp(knot) + fraction * ramp(knot - 1)
+    return ramp(knot - fraction) - blend
 
 
 def simulate_escalated(
@@ -650,52 +684,88 @@ def simulate_escalated(
 ) -> EscalationTierResult:
     """Tier 2: run one simulate item on one model build.
 
-    Each chunk of :meth:`SimulateItem.chunks` is one
-    :func:`~repro.circuit.transient.transient_analysis_multi` call
-    integrated to the chunk's latest horizon; each column's waveform is
-    truncated back to its owner's horizon before its metrics are taken.
-    A ``solver="iterative"`` spec runs the transients on the
+    The testbench is linear, starts all-quiet at 0 V, and every drive is
+    the same clipped ramp, so a victim's waveform is a sum of
+    time-shifted responses to one unit ramp per driven source.  Each
+    chunk of sources (:meth:`SimulateItem.chunks`) is one
+    :func:`~repro.circuit.transient.transient_analysis_multi` call with
+    one unit-ramp column per source launched at ``t = 0``, integrated
+    only as far as the latest launch of that source needs.  Each
+    column's waveform is then built on its owner's own
+    ``ceil(horizon / dt) + 1`` samples: an aggressor launched at
+    ``(m + f) * dt`` adds ``vdd * ((1 - f) y[k - m] + f y[k - m - 1])``
+    of its ramp response ``y``.  When ``rise / dt`` is fractional that
+    blend misses one sample per launch (:func:`_ramp_knot`), which a
+    unit-step column per source supplies as an impulse response.  A
+    ``solver="iterative"`` spec runs the transients on the
     iterative-first tier unless ``policy`` overrides it.
     """
     config = item.config
+    dt = config.dt
     built = build_model(item.spec, parasitics, cache=cache)
     attach_quiet_bus_testbench(
         built.skeleton, config.driver_resistance, config.load_capacitance
     )
     ports = built.skeleton.ports
-    metrics: Dict[Tuple[int, int], Tuple[float, float]] = {}
+    ratio = config.rise_time / dt
+    knot = _ramp_knot(ratio)
+    steps = [int(np.ceil(column.horizon / dt)) for column in item.columns]
+    offsets = [
+        [(agg,) + _grid_offset(delay, dt) for agg, delay in column.launches]
+        for column in item.columns
+    ]
+    # The last response sample any launch of each source reads.
+    reach: Dict[int, int] = {}
+    for count, launches in zip(steps, offsets):
+        for agg, whole, _ in launches:
+            reach[agg] = max(reach.get(agg, 0), count - whole)
+    bases = [step(1.0, rise_time=config.rise_time)]
+    if knot is not None:
+        bases.append(step(1.0, rise_time=dt))
+    probes = sorted({ports[column.victim].far for column in item.columns})
+    # responses[agg][basis]: the source's march result for that basis.
+    responses: Dict[int, List[TransientResult]] = {}
     sim_seconds = 0.0
-    for chunk in item.chunks():
+    for sources in item.chunks():
         scenarios = [
-            {
-                f"Vdrv{agg}": step(
-                    config.vdd, rise_time=config.rise_time, delay=delay
-                )
-                for agg, delay in column.launches
-            }
-            for column in chunk
+            {f"Vdrv{agg}": basis} for basis in bases for agg in sources
         ]
-        probes = sorted({ports[column.victim].far for column in chunk})
         sim_start = time.perf_counter()
         with stage("noise_escalation"):
             results = transient_analysis_multi(
                 built.circuit,
-                max(column.horizon for column in chunk),
-                config.dt,
+                max(reach[agg] for agg in sources) * dt,
+                dt,
                 scenarios,
                 probe_nodes=probes,
                 policy=_transient_policy(item.spec, policy),
             )
         sim_seconds += time.perf_counter() - sim_start
-        for column, result in zip(chunk, results):
-            waveform = _truncated(
-                result.voltage(ports[column.victim].far),
-                column.horizon,
-                config.dt,
+        for i, agg in enumerate(sources):
+            responses[agg] = results[i:: len(sources)]
+    metrics: Dict[Tuple[int, int], Tuple[float, float]] = {}
+    for column, count, launches in zip(item.columns, steps, offsets):
+        probe = ports[column.victim].far
+        v = np.zeros(count + 1)
+        for agg, whole, fraction in launches:
+            y = responses[agg][0].node_voltages[probe]
+            span = count + 1 - whole
+            before = np.concatenate(([0.0], y[: span - 1]))
+            v[whole:] += config.vdd * (
+                (1.0 - fraction) * y[:span] + fraction * before
             )
-            metrics[(column.owner, column.victim)] = _masked_metrics(
-                waveform, column.sensitive
-            )
+            if knot is not None and whole + knot <= count:
+                z = responses[agg][1].node_voltages[probe]
+                span -= knot
+                v[whole + knot:] += (
+                    config.vdd
+                    * _ramp_residual(knot, fraction, ratio)
+                    * (z[1: span + 1] - z[:span])
+                )
+        waveform = Waveform(t=np.arange(count + 1) * dt, v=v)
+        metrics[(column.owner, column.victim)] = _masked_metrics(
+            waveform, column.sensitive
+        )
     return EscalationTierResult(
         metrics=metrics,
         build_seconds=built.build_seconds,

@@ -370,16 +370,6 @@ def screen_pairs(
         )
 
 
-def screen_summary(estimates: ScreenEstimates) -> Dict[str, float]:
-    """Headline scalars of a screen, for reports and checksums."""
-    off = ~np.eye(estimates.num_wires, dtype=bool)
-    return {
-        "max_pair_peak": float(estimates.peak[off].max()),
-        "mean_pair_peak": float(estimates.peak[off].mean()),
-        "max_row_sum": float(estimates.peak.sum(axis=1).max()),
-    }
-
-
 def rc_only_bound(
     parasitics: Parasitics, config: ScreenConfig
 ) -> Tuple[np.ndarray, np.ndarray]:

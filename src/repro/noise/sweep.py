@@ -18,13 +18,13 @@ one-scenario case -- through the existing pipeline plumbing:
   schedule density) share one extraction and one model build;
 - scenarios that share a testbench circuit (same geometry, driver,
   supply, time step) merge their escalated victims into one simulate
-  item, run as shared
-  :func:`~repro.circuit.transient.transient_analysis_multi` batches --
-  the per-step cost of a multi-RHS march is nearly flat in the column
-  count, so merging k near-boundary scenarios into one call costs
-  about one scan instead of k (see ``BENCH_noise_sweep.json``);
-  waveforms truncate back to each scenario's own horizon, keeping
-  results bit-identical to independent scans.
+  item, whose one
+  :func:`~repro.circuit.transient.transient_analysis_multi` march has
+  a column per driven source, not per victim -- merging k
+  near-boundary scenarios that share their aggressors costs about one
+  scan instead of k (see ``BENCH_noise_sweep.json``); each victim's
+  waveform is superposed on its own scenario's horizon, matching
+  independent scans.
 
 The merged :class:`SweepReport` reports distribution-level results:
 per-topology-family peak/margin quantiles, an escalation-rate histogram
@@ -448,10 +448,10 @@ def run_sweep(
     2. **Simulate** -- escalated victims regroup by testbench circuit
        (same geometry, model, driver, supply, step): each group is one
        simulate item whose columns share a single model build, MNA
-       assembly and LU factorization, in chunks of at most
-       :data:`~repro.noise.engine.MAX_COLUMNS_PER_SIM`.  Waveforms
-       truncate back to each scenario's own horizon, so results are
-       bit-identical to independent per-scenario scans.
+       assembly and LU factorization, and one march per
+       :data:`~repro.noise.engine.MAX_COLUMNS_PER_SIM` driven sources.
+       Each victim's waveform is superposed on its own scenario's
+       horizon, so results match independent per-scenario scans.
     3. **Assemble** -- per-scenario reports merge screen bounds and
        simulated metrics, and are stored in the cache under the exact
        key :func:`~repro.noise.engine.run_noise_scan` uses -- a later

@@ -19,9 +19,9 @@ engine over a worker executor:
   item, in order (one streamed ``screen`` progress event each); the
   escalated victims then group by testbench circuit, each group split
   into :meth:`ServiceConfig.shard_count` simulate items dispatched to
-  the pool together (one ``simulate`` event each).  Every column is
-  truncated to its own scenario's horizon, so the merged reports are
-  bit-identical to the one-shot scan and ``repro noise sweep``.
+  the pool together (one ``simulate`` event each).  Every victim's
+  waveform is superposed on its own scenario's horizon, so the merged
+  reports match the one-shot scan and ``repro noise sweep``.
 - **Result memo**: finished results are memoized by request content
   key -- a repeated request is answered from memory with its original
   checksum.

@@ -451,7 +451,6 @@ class SharedParasiticsStore:
     )
     stats: ShmStats = field(default_factory=ShmStats)
     _blocks: Dict[str, SharedColumnBlock] = field(default_factory=dict)
-    _pools: List[SharedArrayPool] = field(default_factory=list)
     _closed: bool = False
 
     def __post_init__(self) -> None:
@@ -497,26 +496,11 @@ class SharedParasiticsStore:
             return None
         return parasitics_from_block(block)
 
-    def adopt_pool(self, pool: SharedArrayPool) -> SharedArrayPool:
-        """Tie a scratch pool's lifetime to the store.
-
-        Assembly pools created on behalf of a service job are owned by
-        the store so one :meth:`close` tears down everything.  The pool
-        rides the same deferred-close registry as column blocks: a
-        worker (or the owner itself) still holding a zero-copy view at
-        close time defers the unmap instead of raising ``BufferError``
-        out of the store's shutdown path.
-        """
-        if self._closed:
-            raise RuntimeError("shared-memory store is closed")
-        self._pools.append(pool)
-        return pool
-
     def __len__(self) -> int:
         return len(self._blocks)
 
     def close(self) -> None:
-        """Unlink every owned segment and pool (idempotent)."""
+        """Unlink every owned segment (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -524,10 +508,6 @@ class SharedParasiticsStore:
             block.close()
             block.unlink()
         self._blocks.clear()
-        for pool in self._pools:
-            pool.close()
-            pool.unlink()
-        self._pools.clear()
 
 
 #: Worker-process attachment cache: each pool worker maps a segment

@@ -9,11 +9,11 @@ attach zero-copy views (:func:`repro.service.shm.attach_parasitics`).
 
 Noise and sweep jobs run the noise plan of :mod:`repro.noise.engine`:
 :func:`screen_worker` is one scenario's screen item and
-:func:`sim_shard_worker` one simulate item.  Every column of a simulate
-item is an independent RHS of the shared factorization, truncated to
-its owner's horizon, so however the service splits the plan into
-items, the merged reports are bit-identical to the one-shot
-:func:`~repro.noise.engine.run_noise_scan` and
+:func:`sim_shard_worker` one simulate item.  Every source response of
+a simulate item is an independent RHS of the shared factorization and
+every victim's waveform is built on its owner's horizon, so however
+the service splits the plan into items, the merged reports match the
+one-shot :func:`~repro.noise.engine.run_noise_scan` and
 :func:`~repro.noise.sweep.run_sweep` -- the equivalence the service
 bench's checksums pin.
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.extraction.parasitics import Parasitics
 from repro.health.solvers import FallbackPolicy
 from repro.pipeline.profiling import stage
 from repro.vpec.builder import VpecModel, build_vpec
-from repro.vpec.effective import VpecNetwork
 from repro.vpec.full import full_vpec_networks
 from repro.vpec.truncation import localize, truncate_geometric, truncate_numerical
 from repro.vpec.windowing import windowed_vpec_networks
@@ -161,10 +160,3 @@ def localized_vpec(
     )
     return VpecBuildResult(model=model, build_seconds=elapsed, flavor="localized")
 
-
-def all_networks(results: List[VpecBuildResult]) -> List[VpecNetwork]:
-    """Flatten the networks of several build results (audit helper)."""
-    networks: List[VpecNetwork] = []
-    for result in results:
-        networks.extend(result.model.networks)
-    return networks
