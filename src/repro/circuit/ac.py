@@ -204,6 +204,9 @@ def ac_analysis(
 ) -> ACResult:
     """Frequency sweep of a linear circuit.
 
+    The one-scenario case of :func:`ac_analysis_multi`: both run the
+    same sweep, this one on a single source column.
+
     Parameters
     ----------
     circuit:
@@ -214,37 +217,9 @@ def ac_analysis(
     probe_nodes, probe_branches:
         Names to record; all nodes (and no branches) by default.
     """
-    system = build_mna(circuit)
-    freqs = np.asarray(list(frequencies), dtype=float)
-    if freqs.size == 0:
-        raise ValueError("frequency sweep is empty")
-    if np.any(freqs < 0):
-        raise ValueError("frequencies must be non-negative")
-
-    nodes = list(probe_nodes) if probe_nodes is not None else circuit.nodes
-    branches = list(probe_branches) if probe_branches is not None else []
-    node_rows = np.array([system.node_row(n) for n in nodes], dtype=int)
-    branch_rows = np.array([system.branch_row(b) for b in branches], dtype=int)
-
-    rhs = system.rhs_ac()
-    solutions = np.empty((system.size, freqs.size), dtype=complex)
-    with stage("solve"):
-        solver = SweepSolver(system.G, system.C, policy=policy)
-        for k, freq in enumerate(freqs):
-            omega = 2.0 * np.pi * freq
-            solutions[:, k] = solver.solve(omega, rhs)
-        add_counter("ac_points", freqs.size)
-
-    # One masked gather across the whole sweep (ground probes are row
-    # -1, zeroed before the wrapped index could leak through).
-    volt = np.where(node_rows[:, None] >= 0, solutions[node_rows, :], 0.0)
-    curr = solutions[branch_rows, :]
-
-    return ACResult(
-        frequencies=freqs,
-        node_voltages={n: volt[i] for i, n in enumerate(nodes)},
-        branch_currents={b: curr[i] for i, b in enumerate(branches)},
-    )
+    return ac_analysis_multi(
+        circuit, frequencies, [{}], probe_nodes, probe_branches, policy
+    )[0]
 
 
 def ac_analysis_multi(

@@ -16,6 +16,8 @@ by step doubling --
 Steps move on a binary grid (``h = h_max / 2^k``), so the LU
 factorizations -- one per step size per scheme -- are cached and reused,
 keeping the adaptive run close to fixed-step cost on smooth intervals.
+Each is the fixed-step engine's own one-step operator, factorized
+through the same resilient chain (:data:`~repro.health.solvers.DEFAULT_POLICY`).
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from repro.circuit.dc import solve_dc
 from repro.circuit.mna import MnaSystem, build_mna
 from repro.circuit.netlist import Circuit
+from repro.circuit.transient import _factorize_step, _resolve_probes
 from repro.circuit.waveform import TransientResult
 
 #: Safety margin between "accept" and "grow the step".
@@ -46,36 +48,32 @@ class AdaptiveStats:
 
 
 class _StepSolver:
-    """One-step solver (trapezoidal or BE) with per-step-size LU caching."""
+    """One-step solver (trapezoidal or BE) with per-step-size operators.
+
+    Each ``(method, h)`` pair's factorized left-hand side and history
+    operator come from the fixed-step engine's
+    :func:`~repro.circuit.transient._factorize_step` -- the same
+    one-step operator behind the same resilient factorization chain --
+    and are cached, since steps move on a binary grid.
+    """
 
     def __init__(self, system: MnaSystem) -> None:
         self._system = system
-        self._g = system.G.tocsc()
-        self._c = system.C.tocsc()
         self._cache: Dict[Tuple[str, float], Tuple[object, object]] = {}
 
     def advance(
-        self, x: np.ndarray, t: float, h: float, method: str = "trap"
+        self, x: np.ndarray, t: float, h: float, method: str = "trapezoidal"
     ) -> np.ndarray:
         """One integration step from ``t`` to ``t + h``."""
-        lu, history = self._operators(method, h)
+        ops = self._cache.get((method, h))
+        if ops is None:
+            ops = _factorize_step(self._system, h, method, None)
+            self._cache[(method, h)] = ops
+        lu, history = ops
         rhs = history @ x + self._system.rhs_transient(t + h)
-        if method == "trap":
+        if method == "trapezoidal":
             rhs += self._system.rhs_transient(t)
         return lu.solve(rhs)
-
-    def _operators(self, method: str, h: float):
-        key = (method, h)
-        ops = self._cache.get(key)
-        if ops is None:
-            if method == "trap":
-                scaled = (2.0 / h) * self._c
-                ops = (splu((self._g + scaled).tocsc()), scaled - self._g)
-            else:  # backward Euler
-                scaled = (1.0 / h) * self._c
-                ops = (splu((self._g + scaled).tocsc()), scaled)
-            self._cache[key] = ops
-        return ops
 
 
 def adaptive_transient_analysis(
@@ -106,8 +104,9 @@ def adaptive_transient_analysis(
         LTE acceptance: a step passes when the Richardson estimate is
         below ``abs_tol + rel_tol * max|x|`` (infinity norm).
     probe_nodes, probe_branches:
-        Names to record (defaults to all nodes for small systems, as in
-        the fixed-step engine).
+        Names to record, resolved as in the fixed-step engine: all nodes
+        by default on small systems (< 3000 unknowns); larger systems
+        must name their probes, and ``probe_branches`` alone suffices.
 
     Returns
     -------
@@ -123,17 +122,9 @@ def adaptive_transient_analysis(
         raise ValueError("need 0 < dt_min <= dt_max")
 
     system = build_mna(circuit)
-    if probe_nodes is None:
-        if system.size >= 3000:
-            raise ValueError(
-                f"system has {system.size} unknowns; pass probe_nodes to "
-                "bound result memory"
-            )
-        probe_nodes = circuit.nodes
-    nodes = list(probe_nodes)
-    branches = list(probe_branches) if probe_branches is not None else []
-    node_rows = [system.node_row(n) for n in nodes]
-    branch_rows = [system.branch_row(b) for b in branches]
+    nodes, branches, node_rows, branch_rows = _resolve_probes(
+        system, circuit, probe_nodes, probe_branches
+    )
 
     x = solve_dc(system) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (system.size,):
@@ -154,8 +145,8 @@ def adaptive_transient_analysis(
         # mode in the algebraic unknowns that the LTE estimator would
         # reject forever; one damped step removes it (TR-BDF-style
         # startup, standard SPICE practice).
-        method = "be" if first_step else "trap"
-        richardson = 1.0 if method == "be" else 3.0
+        method = "backward_euler" if first_step else "trapezoidal"
+        richardson = 1.0 if first_step else 3.0
         x_full = solver.advance(x, t, h, method)
         x_mid = solver.advance(x, t, h / 2.0, method)
         x_half = solver.advance(x_mid, t + h / 2.0, h / 2.0, method)

@@ -25,10 +25,11 @@ is ~33k mutual couplings in *one* group).
 
 The independent sources are additionally summarized as a sparse
 *incidence matrix* ``B`` (``size x num_sources``) so the right-hand side
-over a whole time axis is one ``B @ stimulus_matrix`` product
-(:meth:`MnaSystem.rhs_transient_batch`) and a whole scenario batch is
-one ``B @ amplitude_matrix`` product (:meth:`MnaSystem.rhs_ac_batch`) --
-the transient and AC engines then only do back-substitutions.
+of every scenario over a whole time axis is one ``B @ stimulus_matrix``
+product each (:meth:`MnaSystem.rhs_transient_batch_multi`) and a whole
+AC scenario batch is one ``B @ amplitude_matrix`` product
+(:meth:`MnaSystem.rhs_ac_batch`) -- the transient and AC engines then
+only do back-substitutions.
 
 This grouping is exactly the structural effect the paper exploits:
 PEEC's dense mutual-inductance block lands in ``C`` (dense
@@ -241,36 +242,12 @@ class MnaSystem:
         self.__dict__["_incidence"] = incidence
         return incidence
 
-    def stimulus_matrix(
-        self,
-        times: np.ndarray,
-        overrides: Optional[Mapping[str, Stimulus]] = None,
-    ) -> np.ndarray:
-        """``(num_sources, num_times)`` transient source values.
-
-        ``overrides`` replaces named sources' stimuli for this
-        evaluation only (the multi-scenario transient path).
-        """
-        stims = self._resolved_stimuli(overrides)
+    def stimulus_matrix(self, times: np.ndarray) -> np.ndarray:
+        """``(num_sources, num_times)`` transient source values."""
         return np.array(
-            [[stim.at(float(t)) for t in times] for stim in stims],
+            [[stim.at(float(t)) for t in times] for stim in self.stimuli],
             dtype=float,
-        ).reshape(len(stims), len(times))
-
-    def _resolved_stimuli(
-        self, overrides: Optional[Mapping[str, Stimulus]]
-    ) -> List[Stimulus]:
-        stims = list(self.stimuli)
-        if overrides:
-            for name, stim in overrides.items():
-                try:
-                    stims[self.source_index[name]] = stim
-                except KeyError:
-                    raise KeyError(
-                        f"{name!r} is not an independent source of this "
-                        "circuit"
-                    ) from None
-        return stims
+        ).reshape(len(self.stimuli), len(times))
 
     # ------------------------------------------------------------------
     # Right-hand sides
@@ -287,21 +264,6 @@ class MnaSystem:
             if n2 >= 0:
                 b[n2] += value
         return b
-
-    def rhs_transient_batch(
-        self,
-        times: np.ndarray,
-        overrides: Optional[Mapping[str, Stimulus]] = None,
-    ) -> np.ndarray:
-        """``(size, num_times)`` source matrix over a whole time axis.
-
-        One sparse-times-dense product replaces the per-step Python
-        loops of :meth:`rhs_transient`; the transient engine calls this
-        once and then only back-substitutes.
-        """
-        times = np.asarray(times, dtype=float)
-        values = self.stimulus_matrix(times, overrides)
-        return np.asarray(self.source_incidence() @ values)
 
     def rhs_transient_batch_multi(
         self,

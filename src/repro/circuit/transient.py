@@ -15,6 +15,11 @@ reactive/ resistive stamps stay sparse.
 
 The initial condition is the DC operating point with the sources at their
 ``t = 0`` transient values.
+
+There is one march: :func:`transient_analysis` is the one-scenario case
+of :func:`transient_analysis_multi`, and the adaptive engine
+(:mod:`repro.circuit.adaptive`) builds its one-step operators with the
+same :func:`_factorize_step`.
 """
 
 from __future__ import annotations
@@ -77,6 +82,9 @@ def transient_analysis(
 ) -> TransientResult:
     """Integrate a circuit from 0 to ``t_stop`` with fixed step ``dt``.
 
+    The one-scenario case of :func:`transient_analysis_multi`: both run
+    the same march, this one on a single source column.
+
     Parameters
     ----------
     circuit:
@@ -99,52 +107,10 @@ def transient_analysis(
         by default): LU -> Tikhonov retry -> GMRES + ILU, with typed
         errors when the chain is exhausted.
     """
-    if t_stop <= 0 or dt <= 0:
-        raise ValueError("t_stop and dt must be positive")
-    if t_stop < dt:
-        raise ValueError("t_stop must be at least one time step")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-
-    system = build_mna(circuit)
-    nodes, branches, node_rows, branch_rows = _resolve_probes(
-        system, circuit, probe_nodes, probe_branches
-    )
-
-    steps = int(np.ceil(t_stop / dt))
-    times = np.arange(steps + 1) * dt
-
-    x = solve_dc(system) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (system.size,):
-        raise ValueError("x0 has the wrong size for this circuit")
-
-    volt = np.empty((len(nodes), steps + 1))
-    curr = np.empty((len(branches), steps + 1))
-    with stage("solve"):
-        lhs, history = _factorize_step(system, dt, method, policy)
-
-        # The whole source trajectory is one incidence-matrix product;
-        # the loop below only does matvecs and back-substitutions.
-        b_all = system.rhs_transient_batch(times)
-        add_counter("rhs_batched_steps", steps + 1)
-
-        _record(volt, curr, 0, x, node_rows, branch_rows)
-        for n in range(1, steps + 1):
-            if method == "trapezoidal":
-                rhs = history @ x + b_all[:, n - 1] + b_all[:, n]
-            else:
-                rhs = history @ x + b_all[:, n]
-            x = lhs.solve(rhs)
-            _record(volt, curr, n, x, node_rows, branch_rows)
-        add_counter("transient_steps", steps)
-
-    return TransientResult(
-        times=times,
-        node_voltages={n: volt[i] for i, n in enumerate(nodes)},
-        branch_currents={b: curr[i] for i, b in enumerate(branches)},
-        method=method,
-        dt=dt,
-    )
+    return _march(
+        circuit, t_stop, dt, [{}], method, probe_nodes, probe_branches,
+        policy, x0=x0,
+    )[0]
 
 
 def _factorize_step(
@@ -194,6 +160,28 @@ def transient_analysis_multi(
     classic structure-sharing multi-RHS win.  Returns one
     :class:`TransientResult` per scenario, in order.
     """
+    return _march(
+        circuit, t_stop, dt, scenarios, method, probe_nodes, probe_branches,
+        policy,
+    )
+
+
+def _march(
+    circuit: Circuit,
+    t_stop: float,
+    dt: float,
+    scenarios: Sequence[Mapping[str, Stimulus]],
+    method: str,
+    probe_nodes: Optional[Sequence[str]],
+    probe_branches: Optional[Sequence[str]],
+    policy: Optional[FallbackPolicy],
+    x0: Optional[np.ndarray] = None,
+) -> List[TransientResult]:
+    """The fixed-step march behind both public transient entry points.
+
+    ``x0`` (the single-scenario entry's explicit initial state) replaces
+    the DC operating point; it broadcasts across the scenario columns.
+    """
     if t_stop <= 0 or dt <= 0:
         raise ValueError("t_stop and dt must be positive")
     if t_stop < dt:
@@ -219,7 +207,13 @@ def transient_analysis_multi(
     b_all = system.rhs_transient_batch_multi(times, scenarios)
     add_counter("rhs_batched_steps", (steps + 1) * count)
 
-    x = solve_dc(system, rhs=b_all[0])
+    if x0 is None:
+        x = solve_dc(system, rhs=b_all[0])
+    else:
+        x = np.array(x0, dtype=float)
+        if x.shape != (system.size,):
+            raise ValueError("x0 has the wrong size for this circuit")
+        x = x[:, None]
     volt = np.empty((count, len(nodes), steps + 1))
     curr = np.empty((count, len(branches), steps + 1))
     with stage("solve"):
@@ -246,20 +240,6 @@ def transient_analysis_multi(
     ]
 
 
-def _record(
-    volt: np.ndarray,
-    curr: np.ndarray,
-    step: int,
-    x: np.ndarray,
-    node_rows: np.ndarray,
-    branch_rows: np.ndarray,
-) -> None:
-    # One gather per step; ground probes carry row -1, which the mask
-    # zeroes before the wrapped-index value can leak through.
-    volt[:, step] = np.where(node_rows >= 0, x[node_rows], 0.0)
-    curr[:, step] = x[branch_rows]
-
-
 def _record_block(
     volt: np.ndarray,
     curr: np.ndarray,
@@ -268,7 +248,8 @@ def _record_block(
     node_rows: np.ndarray,
     branch_rows: np.ndarray,
 ) -> None:
-    # Multi-scenario variant: x is (size, scenarios), targets are
-    # (scenarios, probes, steps); same ground masking as _record.
+    # x is (size, scenarios), targets are (scenarios, probes, steps).
+    # One gather per step; ground probes carry row -1, which the mask
+    # zeroes before the wrapped-index value can leak through.
     volt[:, :, step] = np.where(node_rows[:, None] >= 0, x[node_rows, :], 0.0).T
     curr[:, :, step] = x[branch_rows, :].T

@@ -84,7 +84,9 @@ _GATHER_CHUNK_PAIRS = 1 << 16
 
 @dataclass(frozen=True)
 class HierarchicalConfig:
-    """Tuning knobs of the hierarchical builder.
+    """Tuning knobs of the hierarchical builder: cluster-tree / ACA
+    parameters; ``cutoff=0`` disables compression and reproduces the
+    dense entries bit for bit.
 
     ``leaf_size`` bounds cluster leaves (near-field dense blocks are at
     most ``leaf_size`` square).  ``eta`` is the admissibility parameter:
@@ -496,7 +498,11 @@ def _aca_group(
 # The operator
 # ----------------------------------------------------------------------
 class LazyInductance:
-    """Hierarchical block low-rank view of one per-axis ``L`` block.
+    """Hierarchical block low-rank view of one per-axis ``L`` block:
+    ``gather(rows, cols)`` / ``gather_stack(windows)`` return exact dense
+    submatrices, ``matvec()`` / ``matmat()`` apply without materializing,
+    plus ``diagonal()``, ``wire_sums(wire_of, num_wires)``, ``toarray()``
+    and ``compression_stats()``; picklable and shared-memory-columnable.
 
     Semantically a symmetric ``(n, n)`` matrix in the axis group's local
     index space, stored as a cluster tree plus a directory of dense
@@ -1548,14 +1554,15 @@ def hierarchical_blocks(
     config: HierarchicalConfig = DEFAULT_CONFIG,
     jobs: Optional[int] = None,
 ) -> Dict[Axis, Tuple[List[int], LazyInductance]]:
-    """Per-direction hierarchical operators ``{axis: (indices, op)}``.
+    """Per-direction hierarchical operators ``{axis: (indices, op)}``,
+    the lazy counterpart of ``inductance_blocks``; ``jobs`` fans the
+    plan's kernel evaluation over the process pool through shared-memory
+    pools (content-identical to the serial build).
 
-    The drop-in counterpart of
-    :func:`repro.extraction.inductance.inductance_blocks` for systems
-    too large to hold dense: same axis grouping, same index lists, but
-    each block is a :class:`LazyInductance` instead of an ndarray.
-    ``jobs > 1`` assembles each axis operator through the shared-memory
-    process pool (content-identical to the serial build).
+    Same axis grouping and index lists as
+    :func:`repro.extraction.inductance.inductance_blocks`, for systems
+    too large to hold dense, but each block is a :class:`LazyInductance`
+    instead of an ndarray.
     """
     with stage("hier_build"):
         blocks: Dict[Axis, Tuple[List[int], LazyInductance]] = {}

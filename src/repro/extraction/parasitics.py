@@ -22,7 +22,11 @@ from repro.pipeline.profiling import add_counter, stage
 
 
 class Parasitics:
-    """Extracted parasitics of a filament system.
+    """Extracted parasitics of a filament system.  ``inductance`` is a
+    *derived* property over the per-axis blocks (dense single-axis
+    extractions alias their block zero-copy; hierarchical extractions
+    materialize only on demand -- check ``has_dense_inductance`` /
+    ``is_hierarchical`` before touching it at scale).
 
     Attributes
     ----------
@@ -194,7 +198,12 @@ def extract(
     hierarchical: Optional[HierarchicalConfig] = None,
     jobs: Optional[int] = None,
 ) -> Parasitics:
-    """Extract R, L, and C for a filament system.
+    """Extract R, L, and C for a filament system.  ``method="hierarchical"``
+    builds block low-rank ``LazyInductance`` operators instead of dense
+    matrices (docs/performance.md, "Hierarchical extraction");
+    ``jobs > 1`` runs the hierarchical assembly over the process pool
+    with shared-memory factor pools, bit-identical to serial
+    (docs/performance.md, "Parallel hierarchical assembly").
 
     This is the substitute for the paper's FastHenry + FastCap-table flow:
     partial inductances from closed-form Grover/Neumann expressions,
@@ -207,10 +216,9 @@ def extract(
     :class:`~repro.extraction.hierarchical.LazyInductance` operators --
     the O(N b^2 + N log N) path that scales past 100k filaments.
     ``hierarchical`` overrides the operator tuning (leaf size,
-    admissibility ``eta``, ACA ``cutoff``, rank cap).  ``jobs > 1``
-    assembles hierarchical blocks through the shared-memory process
-    pool; the result is bit-identical to the serial build, so the
-    worker count never enters cache keys.
+    admissibility ``eta``, ACA ``cutoff``, rank cap).  The parallel
+    build is bit-identical to the serial one, so the worker count never
+    enters cache keys.
     """
     if method not in ("dense", "hierarchical"):
         raise ValueError(f"unknown extraction method: {method!r}")

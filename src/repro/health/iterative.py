@@ -260,11 +260,12 @@ def operator_solve(
     linear = LinearOperator(shape, matvec=operator.matvec, dtype=np.float64)
     precond = LinearOperator(shape, matvec=apply_m, dtype=np.float64)
     for col in np.flatnonzero(~converged):
-        solution, info = _gmres_compat(
+        solution, info = gmres(
             linear,
             columns[:, col],
-            precond,
+            M=precond,
             rtol=max(policy.gmres_rtol, rtol),
+            atol=0.0,
             restart=policy.gmres_restart,
             maxiter=policy.gmres_maxiter,
         )
@@ -279,32 +280,3 @@ def operator_solve(
     log.record("operator_gmres", True)
     return x[:, 0] if single else x
 
-
-def _gmres_compat(
-    linear: LinearOperator,
-    rhs: np.ndarray,
-    preconditioner: LinearOperator,
-    rtol: float,
-    restart: int,
-    maxiter: int,
-) -> Tuple[np.ndarray, int]:
-    try:
-        return gmres(
-            linear,
-            rhs,
-            M=preconditioner,
-            rtol=rtol,
-            atol=0.0,
-            restart=restart,
-            maxiter=maxiter,
-        )
-    except TypeError:  # scipy < 1.12 spells the tolerance `tol`
-        return gmres(
-            linear,
-            rhs,
-            M=preconditioner,
-            tol=rtol,
-            atol=0.0,
-            restart=restart,
-            maxiter=maxiter,
-        )

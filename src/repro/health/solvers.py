@@ -496,28 +496,16 @@ class ResilientFactor:
                 x = x + self._ilu.solve(rhs - self._a @ x)
             if np.all(np.isfinite(x)):
                 x0 = x
-        try:
-            x, info = gmres(
-                self._a,
-                rhs,
-                x0=x0,
-                M=preconditioner,
-                rtol=self._policy.gmres_rtol,
-                atol=0.0,
-                restart=self._policy.gmres_restart,
-                maxiter=self._policy.gmres_maxiter,
-            )
-        except TypeError:  # scipy < 1.12 spells the tolerance `tol`
-            x, info = gmres(
-                self._a,
-                rhs,
-                x0=x0,
-                M=preconditioner,
-                tol=self._policy.gmres_rtol,
-                atol=0.0,
-                restart=self._policy.gmres_restart,
-                maxiter=self._policy.gmres_maxiter,
-            )
+        x, info = gmres(
+            self._a,
+            rhs,
+            x0=x0,
+            M=preconditioner,
+            rtol=self._policy.gmres_rtol,
+            atol=0.0,
+            restart=self._policy.gmres_restart,
+            maxiter=self._policy.gmres_maxiter,
+        )
         # ``info > 0`` only means GMRES's *own* relative-residual target
         # was not met within the iteration budget.  On severely
         # ill-conditioned systems that target is unreachable in double

@@ -37,10 +37,12 @@ Scans run on any VPEC/wVPEC/PEEC model family via
 the content-addressed pipeline cache under kind ``"noise"``, and raise
 the :mod:`repro.health` taxonomy on numerical trouble.  A scan's
 ``verify=True`` additionally re-simulates every escalated victim
-through the independent single-scenario path (a separately built model
-with the aggressor stimuli baked in at construction) and records the
-relative peak deviation -- the cross-check quoted in the acceptance
-gate.
+directly and records the relative peak deviation -- the cross-check
+quoted in the acceptance gate.  The check shares the fixed-step march
+with the escalation tier; it stays independent through its circuit (a
+separately built model with the aggressor stimuli baked in at
+construction, no quiet-driver overrides) and through direct simulation
+of the aligned launches instead of superposed ramp responses.
 """
 
 from __future__ import annotations
@@ -953,13 +955,14 @@ def _verify_victim(
     policy: Optional[FallbackPolicy],
     cache: Optional[PipelineCache] = None,
 ) -> float:
-    """Relative peak deviation of the independent single-scenario path.
+    """Relative peak deviation of an independent direct simulation.
 
     Builds a *fresh* model with the aggressor stimuli baked into a
     :func:`attach_multi_aggressor_testbench` (quiet wires have no
-    source at all there) and integrates it with the single-RHS solver
-    -- a genuinely different circuit and code path from the batched
-    escalation tier.
+    source at all there, so nothing is overridden) and simulates the
+    aligned launches directly with :func:`transient_analysis`.  The
+    march is the escalation tier's own; the independence is in the
+    circuit and in skipping superposition of ramp responses.
     """
     built = build_model(spec, parasitics, cache=cache)
     drives: Dict[int, Stimulus] = {

@@ -118,11 +118,13 @@ class CalibrationRangeWarning(UserWarning):
 
     Raised (as a warning, the estimate still evaluates) when wire index
     distances exceed the kappa tables, so the envelope *extrapolates*
-    by clamping to the last table entry.  The clamp is usually benign
-    -- far tables decay monotonically -- but it is an extrapolation,
-    and silent extrapolation is how calibrated screens rot.  The
-    ``noise_kappa_out_of_range`` profiling counter records how many
-    ordered pairs were clamped.
+    by clamping to the last table entry.  The clamp is not an upper
+    bound of the tail: the committed tables do not decay monotonically
+    (both rise from 0.0027 at d = 56 to 0.0029 at d = 59-60, and the
+    clamped d = 63 entry is 0.0026), so a clamped pair may be
+    under-estimated.  ROADMAP.md open item 3 ("A screen calibrated
+    where it runs") tracks the fix.  The ``noise_kappa_out_of_range``
+    profiling counter records how many ordered pairs were clamped.
     """
 
 

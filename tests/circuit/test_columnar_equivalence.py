@@ -10,15 +10,19 @@ flavor, across all element classes including both mutual-coupling
 reference forms.
 
 The multi-RHS engines (``transient_analysis_multi`` /
-``ac_analysis_multi``) share one factorization across scenarios; their
-per-scenario results must equal looped single-RHS runs exactly, since
-back-substitution of a matrix RHS is columnwise identical to repeated
-vector back-substitution.
+``ac_analysis_multi``) share one factorization across scenarios.  Each
+scenario column must equal a single-scenario run on a circuit rebuilt
+with that scenario's sources baked in -- the one-scenario case of the
+same engine -- and, as the independent oracle, the frozen seed loops of
+:mod:`repro.bench.reference` on that circuit: bit for bit for the
+transient march, to rounding for the AC sweep.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.reference import seed_ac_analysis, seed_transient_analysis
 from repro.circuit.ac import ac_analysis, ac_analysis_multi
 from repro.circuit.mna import build_mna
 from repro.circuit.netlist import Circuit
@@ -145,7 +149,8 @@ def test_columnar_assembly_bit_identical(pair):
     assert np.array_equal(a.rhs_ac(), b.rhs_ac())
     times = np.linspace(0.0, 50e-12, 7)
     assert np.array_equal(
-        a.rhs_transient_batch(times), b.rhs_transient_batch(times)
+        a.rhs_transient_batch_multi(times, [{}]),
+        b.rhs_transient_batch_multi(times, [{}]),
     )
     for t in times:
         assert np.array_equal(a.rhs_transient(float(t)), b.rhs_transient(float(t)))
@@ -221,7 +226,8 @@ def _sim_circuit(vs_stim=None, is_stim=None):
     return circuit
 
 
-def test_transient_multi_equals_looped_single():
+@pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
+def test_transient_multi_equals_looped_single(method):
     circuit = _sim_circuit()
     scenarios = [
         {},
@@ -229,8 +235,8 @@ def test_transient_multi_equals_looped_single():
         {"Vs": dc(0.5), "Is": dc(1e-3)},
     ]
     batched = transient_analysis_multi(
-        circuit, 100e-12, 1e-12, scenarios, probe_nodes=["mid", "out"],
-        probe_branches=["L1"],
+        circuit, 100e-12, 1e-12, scenarios, method=method,
+        probe_nodes=["mid", "out"], probe_branches=["L1"],
     )
     assert len(batched) == len(scenarios)
     for overrides, result in zip(scenarios, batched):
@@ -238,13 +244,20 @@ def test_transient_multi_equals_looped_single():
             vs_stim=overrides.get("Vs"), is_stim=overrides.get("Is")
         )
         single = transient_analysis(
-            rebuilt, 100e-12, 1e-12, probe_nodes=["mid", "out"],
-            probe_branches=["L1"],
+            rebuilt, 100e-12, 1e-12, method=method,
+            probe_nodes=["mid", "out"], probe_branches=["L1"],
         )
-        for node in ("mid", "out"):
+        # The single entry point is the batched engine's one-scenario
+        # case; the frozen seed loop (object-path assembly, per-step
+        # RHS rebuild, scalar probe gather) is the independent oracle.
+        _, seed_volt = seed_transient_analysis(
+            rebuilt, 100e-12, 1e-12, ["mid", "out"], method=method
+        )
+        for k, node in enumerate(("mid", "out")):
             assert np.array_equal(
                 result.voltage(node).v, single.voltage(node).v
             )
+            assert np.array_equal(result.voltage(node).v, seed_volt[k])
         assert np.array_equal(result.current("L1").v, single.current("L1").v)
 
 
@@ -266,7 +279,14 @@ def test_ac_multi_equals_looped_single():
             ),
         )
         single = ac_analysis(rebuilt, freqs, probe_nodes=["mid", "out"])
-        for node in ("mid", "out"):
+        # Independent oracle: the frozen seed sweep re-permutes columns
+        # per point instead of reusing the permuted structure, so it
+        # agrees to rounding, not bit for bit.
+        _, seed_volt = seed_ac_analysis(rebuilt, freqs, ["mid", "out"])
+        for k, node in enumerate(("mid", "out")):
             assert np.array_equal(
                 result.node_voltages[node], single.node_voltages[node]
+            )
+            np.testing.assert_allclose(
+                result.node_voltages[node], seed_volt[k], rtol=1e-12, atol=0
             )

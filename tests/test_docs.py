@@ -23,6 +23,10 @@ class TestApiReference:
         text = (tmp_path / "api.md").read_text()
         for name in ("aligned_bus", "full_vpec", "transient_analysis"):
             assert name in text
+        # The checked-in reference is exactly the generator's output:
+        # any API or docstring change must be followed by a rerun of
+        # ``python tools/generate_api_docs.py``.
+        assert text == (DOCS / "api.md").read_text()
 
     def test_checked_in_reference_covers_packages(self):
         text = (DOCS / "api.md").read_text()

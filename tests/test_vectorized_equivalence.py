@@ -14,7 +14,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit.transient import _record
+from repro.circuit.transient import _record_block
 from repro.extraction.inductance import (
     _COLLINEAR_TOL,
     _GMD_CUTOFF,
@@ -345,23 +345,25 @@ class TestRecordEquivalence:
     @given(
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=3),
         st.integers(min_value=0, max_value=99),
     )
     @settings(max_examples=50, deadline=None)
-    def test_matches_scalar_loop(self, nodes, branches, seed):
+    def test_matches_scalar_loop(self, nodes, branches, scenarios, seed):
         rng = np.random.default_rng(seed)
         size = nodes + branches + 1
-        x = rng.normal(size=size)
+        x = rng.normal(size=(size, scenarios))
         node_rows = rng.integers(-1, size, size=nodes)
         branch_rows = rng.integers(0, size, size=branches)
-        volt = np.zeros((nodes, 3))
-        curr = np.zeros((branches, 3))
-        _record(volt, curr, 1, x, node_rows, branch_rows)
-        expected_volt = np.zeros((nodes, 3))
-        expected_curr = np.zeros((branches, 3))
-        for pos, row in enumerate(node_rows):
-            expected_volt[pos, 1] = x[row] if row >= 0 else 0.0
-        for pos, row in enumerate(branch_rows):
-            expected_curr[pos, 1] = x[row]
+        volt = np.zeros((scenarios, nodes, 3))
+        curr = np.zeros((scenarios, branches, 3))
+        _record_block(volt, curr, 1, x, node_rows, branch_rows)
+        expected_volt = np.zeros((scenarios, nodes, 3))
+        expected_curr = np.zeros((scenarios, branches, 3))
+        for k in range(scenarios):
+            for pos, row in enumerate(node_rows):
+                expected_volt[k, pos, 1] = x[row, k] if row >= 0 else 0.0
+            for pos, row in enumerate(branch_rows):
+                expected_curr[k, pos, 1] = x[row, k]
         np.testing.assert_array_equal(volt, expected_volt)
         np.testing.assert_array_equal(curr, expected_curr)

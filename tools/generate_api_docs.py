@@ -5,10 +5,15 @@ exports, and emits a markdown reference with each object's signature and
 first docstring paragraph.  Re-run after API changes:
 
     python tools/generate_api_docs.py
+
+The output is the same on every supported Python version: text the
+interpreter supplies (enum and builtin constructor signatures, builtin
+type docstrings) is left out or replaced by a repr.
 """
 
 from __future__ import annotations
 
+import enum
 import importlib
 import inspect
 import pathlib
@@ -40,20 +45,43 @@ def first_paragraph(obj) -> str:
     return paragraph
 
 
+def own_constructor(cls) -> bool:
+    """Whether ``cls`` is built by an ``__init__``/``__new__`` of repro's."""
+    for base in cls.__mro__:
+        if "__init__" in vars(base) or "__new__" in vars(base):
+            return base.__module__.startswith("repro.")
+    return False
+
+
 def signature_of(obj) -> str:
+    # An enum's call signature comes from its metaclass and an
+    # exception's from a builtin; both read differently across Python
+    # versions, so such classes are listed without one.
+    if inspect.isclass(obj) and (
+        isinstance(obj, enum.EnumMeta) or not own_constructor(obj)
+    ):
+        return ""
     try:
         return str(inspect.signature(obj))
     except (TypeError, ValueError):
         return ""
 
 
+def describe_constant(obj) -> str:
+    # Instances of builtin or typing types would inherit their type's
+    # docstring (``float``, ``str``, ``typing.Union``), so show the value.
+    if type(obj).__module__.startswith("repro.") and first_paragraph(obj):
+        return first_paragraph(obj)
+    return f"`{obj!r}`"
+
+
 def describe(name: str, obj) -> str:
     if inspect.isclass(obj):
         kind = "class"
-    elif callable(obj):
+    elif inspect.isroutine(obj):
         kind = "function"
     else:
-        return f"- **`{name}`** — constant: {first_paragraph(obj) or repr(obj)}\n"
+        return f"- **`{name}`** — constant: {describe_constant(obj)}\n"
     sig = signature_of(obj)
     lines = [f"- **`{name}{sig}`** ({kind})"]
     summary = first_paragraph(obj)
