@@ -49,9 +49,12 @@ from repro.vpec.effective import VpecNetwork
 #: results' argpartition tie-breaking bit for bit.
 _DENSE_KNN_LIMIT = 4096
 
-#: Bytes of one ``(rows, n)`` float64 distance block of the exact scan;
-#: the scan holds a few such blocks at a time, so its memory is
-#: O(block * n) instead of the O(n^2) all-pairs matrix.
+#: Scratch budget of one block of window-layer work.  The exact scan
+#: holds a few ``(rows, n)`` float64 distance blocks of this size, so
+#: its memory is O(block * n) instead of the O(n^2) all-pairs matrix;
+#: and :func:`windowed_inverse` gathers and factors an index set once
+#: when the per-aggressor submatrix stack of the aggressors sharing it
+#: would exceed this size.
 _SELECT_BLOCK_BYTES = 4 << 20
 
 
@@ -240,26 +243,29 @@ def _solve_window_stack_direct(
     policy: FallbackPolicy,
     aggressors: np.ndarray,
 ) -> np.ndarray:
+    """``(K, b, b)`` systems against ``(K, b, r)`` unit columns, one LAPACK call.
+
+    ``aggressors[k, j]`` owns column ``j`` of system ``k``: one column
+    per window on the stacked path, every sharer's column on a shared
+    window.
+    """
     try:
-        solutions = np.linalg.solve(sub_stack, rhs_stack[:, :, None])[:, :, 0]
+        solutions = np.linalg.solve(sub_stack, rhs_stack)
         if not np.all(np.isfinite(solutions)):
             raise np.linalg.LinAlgError("non-finite window solutions")
     except np.linalg.LinAlgError:
         # One singular window poisons the whole batched call; redo
-        # the batch per window through the escalation chain so only
+        # the batch per aggressor through the escalation chain so only
         # the defective windows pay the fallback cost.
         add_counter("window_fallback_batches")
-        solutions = np.stack(
-            [
-                dense_solve(
-                    sub_stack[k],
-                    rhs_stack[k],
-                    policy=policy,
-                    name=f"window of aggressor {aggressors[k]}",
-                )
-                for k in range(aggressors.size)
-            ]
-        )
+        solutions = np.empty(rhs_stack.shape)
+        for k, j in np.ndindex(*aggressors.shape):
+            solutions[k, :, j] = dense_solve(
+                sub_stack[k],
+                rhs_stack[k, :, j],
+                policy=policy,
+                name=f"window of aggressor {aggressors[k, j]}",
+            )
     return solutions
 
 
@@ -287,14 +293,125 @@ def _solve_window_stack(
             return solutions
         add_counter("window_cg_fallbacks", int((~converged).sum()))
         holdouts = np.flatnonzero(~converged)
-        solutions[holdouts] = _solve_window_stack_direct(
+        solutions[holdouts] = _solve_window_stack(
             sub_stack[holdouts],
             rhs_stack[holdouts],
+            "direct",
             policy,
             aggressors[holdouts],
         )
         return solutions
-    return _solve_window_stack_direct(sub_stack, rhs_stack, policy, aggressors)
+    return _solve_window_stack_direct(
+        sub_stack, rhs_stack[:, :, None], policy, aggressors[:, None]
+    )[:, :, 0]
+
+
+def _submatrices(block: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The ``(K, b, b)`` submatrices of a ``(K, b)`` stack of windows.
+
+    Fancy indexing on dense blocks, one block-cover gather of the whole
+    stack on hierarchical operators (near-field windows hit the stored
+    leaf blocks verbatim, so the submatrices -- and with them the
+    solves -- are exact, not approximations).
+    """
+    if isinstance(block, LazyInductance):
+        return block.gather_stack(stack)
+    return block[stack[:, :, None], stack[:, None, :]]
+
+
+def _solve_each_window(
+    block: np.ndarray,
+    stack: np.ndarray,
+    positions: np.ndarray,
+    aggressors: np.ndarray,
+    dedup: bool,
+    solver: str,
+    policy: FallbackPolicy,
+) -> np.ndarray:
+    """One system per window of a same-size stack, in one batched call."""
+    count, size = stack.shape
+    subs = _submatrices(block, stack)
+    rhs = np.zeros((count, size))
+    rhs[np.arange(count), positions] = 1.0
+    if dedup:
+        # Identical (submatrix bits, unit position) systems share one
+        # solve; LAPACK is deterministic per matrix, so fanning the
+        # solution out is bit-identical to solving each window.  The
+        # uint64 view compares raw float bits, so -0.0/0.0 and NaN
+        # payloads never alias distinct systems.
+        keys = np.concatenate(
+            [
+                np.ascontiguousarray(subs).reshape(count, -1).view(np.uint64),
+                positions[:, None].astype(np.uint64),
+            ],
+            axis=1,
+        )
+        solve_rows, inverse = _dedup_rows(keys)
+        add_counter("window_dedup_hits", count - solve_rows.size)
+    else:
+        solve_rows = np.arange(count)
+        inverse = solve_rows
+    # The O(N b^3) work of the construction, as operation counts:
+    # systems factored and their summed |W|^3.
+    add_counter("window_solves", solve_rows.size)
+    add_counter("window_solve_cubes", solve_rows.size * size**3)
+    solutions = _solve_window_stack(
+        subs[solve_rows], rhs[solve_rows], solver, policy, aggressors[solve_rows]
+    )
+    return solutions[inverse]
+
+
+def _solve_shared_window(
+    block: np.ndarray,
+    window: np.ndarray,
+    positions: np.ndarray,
+    aggressors: np.ndarray,
+    policy: FallbackPolicy,
+) -> np.ndarray:
+    """Every sharer's unit column of one window from one factorization.
+
+    The direct factorization serves every backend: it is the iterative
+    backend's own fallback, so its residual contract still holds.
+    """
+    count = aggressors.size
+    rhs = np.zeros((1, window.size, count))
+    rhs[0, positions, np.arange(count)] = 1.0
+    add_counter("window_solves")
+    add_counter("window_solve_cubes", window.size**3)
+    add_counter("window_dedup_hits", count - 1)
+    return _solve_window_stack_direct(
+        _submatrices(block, window[None]), rhs, policy, aggressors[None]
+    )[0].T
+
+
+def _validate_windows(stack: np.ndarray, aggressors: np.ndarray, n: int) -> None:
+    """Raise ``ValueError`` naming an aggressor whose window is malformed.
+
+    ``stack`` holds the same-size windows of ``aggressors``, one per row.
+    A window holds distinct indices in ``[0, n)``, its own aggressor
+    among them; a negative index would otherwise wrap around silently
+    in the gathers.
+    """
+    outside = (stack < 0) | (stack >= n)
+    ordered = np.sort(stack, axis=1)
+    repeated = ordered[:, 1:] == ordered[:, :-1]
+    missing = ~(stack == aggressors[:, None]).any(axis=1)
+    bad = outside.any(axis=1) | repeated.any(axis=1) | missing
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    m = aggressors[k]
+    if outside[k].any():
+        raise ValueError(
+            f"window of aggressor {m} has index {stack[k][outside[k]][0]} "
+            f"outside [0, {n})"
+        )
+    if repeated[k].any():
+        raise ValueError(
+            f"window of aggressor {m} repeats index "
+            f"{ordered[k, 1:][repeated[k]][0]}"
+        )
+    raise ValueError(f"window of aggressor {m} must contain {m}")
 
 
 def windowed_inverse(
@@ -313,26 +430,38 @@ def windowed_inverse(
     used directly.
 
     ``dedup`` (on by default) solves each *distinct* window system only
-    once: regular buses are translation-invariant, so every interior
+    once.  Regular buses are translation-invariant, so every interior
     window extracts the same ``(b, b)`` stencil, and one LAPACK solve
-    serves all aggressors sharing it (keyed on the submatrix bytes plus
-    the unit-vector position, so the fan-out is bit-identical to solving
-    each window separately).  The number of solves saved is recorded as
-    the ``window_dedup_hits`` profiling counter.  Disable it only to
-    cross-check equivalence.
+    serves all aggressors sharing it; keyed on the submatrix bytes plus
+    the unit-vector position, that fan-out is bit-identical to solving
+    each window separately.  A wide window shared by many aggressors --
+    numerical windows at a low threshold often span the whole block --
+    is gathered and factored once, and all its sharers' unit columns are
+    solved in one call, when their per-aggressor submatrix stack would
+    exceed the module's scratch budget.  Every sharer is a member of the
+    window, so only windows of more than 80 filaments qualify; their
+    solutions agree with separate solves to rounding, not bit for bit.
+    The aggressors a solve serves beyond the first are counted as
+    ``window_dedup_hits``.  Disable ``dedup`` only to cross-check
+    equivalence.
+
+    Every window must hold distinct indices in ``[0, n)``, its own
+    aggressor among them; a malformed window raises ``ValueError``
+    naming its aggressor before any submatrix is gathered.
 
     A singular window submatrix (rank-deficient ``L``) does not abort
     the whole construction: the offending windows fall back to the
     escalation chain of :func:`repro.health.solvers.dense_solve`
-    (Tikhonov ridge, then least squares) under ``policy`` -- non-finite
-    input raises :class:`~repro.health.errors.NonFiniteInputError`
-    up front instead.
+    (Tikhonov ridge, then least squares) under ``policy``, one aggressor
+    at a time -- non-finite input raises
+    :class:`~repro.health.errors.NonFiniteInputError` up front instead.
 
     ``solver`` selects the backend of the batched solves (see
     :data:`WINDOW_SOLVERS`); the iterative backend is residual-verified
     and falls back per window to the direct chain, so it agrees with
     ``"direct"`` to the CG tolerance on every window and exactly on any
-    window it could not certify.
+    window it could not certify.  A shared wide window always takes the
+    direct factorization, the iterative backend's own fallback.
     """
     if merge not in MERGE_RULES:
         raise ValueError(f"merge must be one of {MERGE_RULES}, got {merge!r}")
@@ -342,8 +471,7 @@ def windowed_inverse(
         )
     if policy is None:
         policy = DEFAULT_POLICY
-    lazy = isinstance(block, LazyInductance)
-    if lazy:
+    if isinstance(block, LazyInductance):
         block.validate_finite("inductance block")
     else:
         require_finite(block, name="inductance block")
@@ -351,76 +479,57 @@ def windowed_inverse(
     if len(windows) != n:
         raise ValueError("one window per aggressor is required")
     normalized = [np.asarray(window, dtype=int) for window in windows]
+    by_size: Dict[int, List[int]] = {}
+    for m, window in enumerate(normalized):
+        by_size.setdefault(window.size, []).append(m)
+    # Every window is checked before any submatrix is gathered.
+    classes: List[Tuple[np.ndarray, np.ndarray]] = []
+    for aggressors in by_size.values():
+        agg = np.asarray(aggressors)
+        stack = np.array([normalized[m] for m in aggressors])
+        _validate_windows(stack, agg, n)
+        classes.append((agg, stack))
 
-    # Batch the O(b^3) solves by window size: all same-size submatrices
-    # are gathered into one (K, b, b) stack and solved in a single LAPACK
+    # Batch the O(b^3) solves by window size: same-size submatrices are
+    # gathered into one (K, b, b) stack and solved in a single LAPACK
     # call, which is what keeps the O(N b^3) construction ahead of the
-    # O(N^3) full inversion in practice, not just asymptotically.
+    # O(N^3) full inversion in practice, not just asymptotically.  An
+    # index set whose sharers' stack would exceed the scratch budget is
+    # gathered and factored once instead (see ``dedup`` above).
     diagonal = np.zeros(n)
     aggressor_parts: List[np.ndarray] = []
     neighbor_parts: List[np.ndarray] = []
     value_parts: List[np.ndarray] = []
-    by_size: Dict[int, List[int]] = {}
-    for m, window in enumerate(normalized):
-        by_size.setdefault(window.size, []).append(m)
-    for size, aggressors in by_size.items():
-        agg = np.asarray(aggressors)
-        stack = np.array([normalized[m] for m in aggressors])
-        if size == 0:
-            raise ValueError(
-                f"window of aggressor {int(agg[0])} must contain {int(agg[0])}"
-            )
-        # Window submatrices: fancy indexing on dense blocks, one
-        # block-cover gather of the whole stack on hierarchical
-        # operators (near-field windows hit the stored leaf blocks
-        # verbatim, so the submatrices -- and with them the solves --
-        # are exact, not approximations).
-        if lazy:
-            subs = block.gather_stack(stack)
-        else:
-            subs = block[stack[:, :, None], stack[:, None, :]]
+    for agg, stack in classes:
+        size = stack.shape[1]
         self_mask = stack == agg[:, None]
-        has_self = self_mask.any(axis=1)
-        if not has_self.all():
-            bad = int(agg[np.argmin(has_self)])
-            raise ValueError(f"window of aggressor {bad} must contain {bad}")
         positions = np.argmax(self_mask, axis=1)
-        rhs = np.zeros((agg.size, size))
-        rhs[np.arange(agg.size), positions] = 1.0
-
-        if dedup:
-            # Identical (submatrix bits, unit position) systems share one
-            # solve; LAPACK is deterministic per matrix, so fanning the
-            # solution out is bit-identical to solving each window.  The
-            # uint64 view compares raw float bits, so -0.0/0.0 and NaN
-            # payloads never alias distinct systems.
-            keys = np.concatenate(
-                [
-                    np.ascontiguousarray(subs).reshape(agg.size, -1).view(
-                        np.uint64
-                    ),
-                    positions[:, None].astype(np.uint64),
-                ],
-                axis=1,
+        solutions = np.empty(stack.shape)
+        each = np.ones(agg.size, dtype=bool)
+        sub_bytes = 8 * size * size
+        if dedup and agg.size * sub_bytes > _SELECT_BLOCK_BYTES:
+            _, set_of = _dedup_rows(stack.astype(np.uint64))
+            sharers = np.bincount(set_of)
+            for s in np.flatnonzero(sharers * sub_bytes > _SELECT_BLOCK_BYTES):
+                members = np.flatnonzero(set_of == s)
+                each[members] = False
+                solutions[members] = _solve_shared_window(
+                    block,
+                    stack[members[0]],
+                    positions[members],
+                    agg[members],
+                    policy,
+                )
+        if each.any():
+            solutions[each] = _solve_each_window(
+                block,
+                stack[each],
+                positions[each],
+                agg[each],
+                dedup,
+                solver,
+                policy,
             )
-            solve_rows, inverse = _dedup_rows(keys)
-            add_counter("window_dedup_hits", agg.size - solve_rows.size)
-        else:
-            solve_rows = np.arange(agg.size)
-            inverse = solve_rows
-        # The O(N b^3) work of the construction, as operation counts:
-        # systems factored and their summed |W|^3.
-        add_counter("window_solves", solve_rows.size)
-        add_counter("window_solve_cubes", solve_rows.size * size**3)
-
-        solutions = _solve_window_stack(
-            subs[solve_rows],
-            rhs[solve_rows],
-            solver,
-            policy,
-            agg[solve_rows],
-        )
-        solutions = solutions[inverse]
 
         diagonal[agg] = solutions[self_mask]
         aggressor_parts.append(np.repeat(agg, size - 1))

@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.bench.sweep import sweep_grid
 from repro.extraction.parasitics import Parasitics, extract
 from repro.geometry.bus import aligned_bus, nonaligned_bus
 from repro.geometry.spiral import square_spiral
@@ -82,6 +83,17 @@ def nonaligned16() -> Parasitics:
 def spiral_small() -> Parasitics:
     """A small spiral (2 turns, 24 segments) for irregular-layout tests."""
     return extract(square_spiral(turns=2, total_segments=24))
+
+
+@pytest.fixture(scope="session")
+def sweep6() -> Parasitics:
+    """The noise-sweep family's bus at 6 segments: 96 filaments.
+
+    At the family's numerical-window threshold every window is the
+    whole block, so all 96 aggressors share one wide window.
+    """
+    (scenario,) = sweep_grid(segments=6, num_densities=1).scenarios()
+    return extract(scenario.geometry().build())
 
 
 @pytest.fixture()

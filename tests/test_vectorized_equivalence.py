@@ -335,6 +335,23 @@ class TestWindowingEquivalence:
         assert profile.counters["window_dedup_hits"] > 0
         assert (deduped != plain).nnz == 0
 
+    def test_shared_wide_window_matches_reference(self, sweep6):
+        # Every sweep window is the whole 96-filament block, so one
+        # factorization serves all aggressors: rounding-close to the
+        # per-window solves, with the same sparsity.
+        from repro.bench.sweep import sweep_grid
+        from repro.vpec.windowing import numerical_windows
+
+        ((_, block),) = sweep6.inductance_blocks.values()
+        windows = numerical_windows(block, sweep_grid().model.threshold)
+        shared = windowed_inverse(block, windows).toarray()
+        for want in (
+            windowed_inverse(block, windows, dedup=False).toarray(),
+            reference_windowed_inverse(block, windows),
+        ):
+            assert relative_error(want, shared) < RELATIVE_TOLERANCE
+            assert np.array_equal(want != 0, shared != 0)
+
 
 # ----------------------------------------------------------------------
 # Transient recording equivalence

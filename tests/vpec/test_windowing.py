@@ -7,7 +7,12 @@ import pytest
 
 import repro.vpec.windowing as windowing
 from repro.bench.extraction_scale import scale_geometry
+from repro.bench.sweep import sweep_grid
+from repro.extraction.hierarchical import LazyInductance
+from repro.extraction.parasitics import extract
 from repro.geometry.bus import aligned_bus
+from repro.health import DEFAULT_POLICY, STRICT_POLICY, SingularMatrixError
+from repro.pipeline.profiling import collect
 from repro.vpec.full import full_vpec_networks, invert_spd
 from repro.vpec.passivity import audit_network
 from repro.vpec.windowing import (
@@ -223,6 +228,109 @@ class TestWindowedInverse:
         windows = geometric_windows(bus16.system, list(range(16)), 4)
         s_prime = windowed_inverse(block, windows).toarray()
         assert np.all(np.diag(s_prime) > 0)
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ([1, 2, 7], "aggressor 2 has index 7 outside"),
+            ([1, 2, 3, 3], "aggressor 2 repeats index 3"),
+            ([-1, 2, 3], "aggressor 2 has index -1 outside"),
+        ],
+        ids=["out_of_range", "repeated", "negative"],
+    )
+    def test_malformed_window_rejected_before_any_solve(self, window, message):
+        # A negative index must not wrap to the last filament, and no
+        # well-formed window's solve may run first.
+        windows = [np.arange(6)] * 6
+        windows[2] = np.array(window)
+        with collect() as profile:
+            with pytest.raises(ValueError, match=message):
+                windowed_inverse(np.eye(6) + 0.1, windows)
+        assert "window_solves" not in profile.counters
+
+
+def _sweep_windows(parasitics):
+    """The sweep family's numerical windows on its one inductance block."""
+    ((_, block),) = parasitics.inductance_blocks.values()
+    return block, numerical_windows(block, sweep_grid().model.threshold)
+
+
+class TestSharedWindows:
+    """A wide window shared by many aggressors is factored once."""
+
+    def test_one_factorization_serves_every_sharer(self, sweep6):
+        block, windows = _sweep_windows(sweep6)
+        n = block.shape[0]
+        assert n == 96
+        assert all(np.array_equal(w, np.arange(n)) for w in windows)
+        # The 96 per-aggressor copies (7 MB) would exceed the budget.
+        assert n * n * n * 8 > windowing._SELECT_BLOCK_BYTES
+        with collect() as profile:
+            windowed_inverse(block, windows)
+        assert profile.counters["window_solves"] == 1
+        assert profile.counters["window_solve_cubes"] == n**3
+        assert profile.counters["window_dedup_hits"] == n - 1
+
+    def test_memory_stays_within_the_budget(self, sweep6):
+        block, windows = _sweep_windows(sweep6)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            windowed_inverse(block, windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_hierarchical_operator_matches_separate_solves(self, sweep6):
+        _, windows = _sweep_windows(sweep6)
+        lazy = extract(sweep6.system, method="hierarchical")
+        ((_, operator),) = lazy.inductance_blocks.values()
+        assert isinstance(operator, LazyInductance)
+        with collect() as profile:
+            shared = windowed_inverse(operator, windows).toarray()
+        assert profile.counters["window_solves"] == 1
+        separate = windowed_inverse(operator, windows, dedup=False).toarray()
+        np.testing.assert_allclose(
+            shared, separate, rtol=0, atol=1e-12 * np.abs(separate).max()
+        )
+        assert np.array_equal(shared != 0, separate != 0)
+
+    def test_iterative_backend_takes_the_factorization(self, sweep6):
+        block, windows = _sweep_windows(sweep6)
+        with collect() as profile:
+            iterative = windowed_inverse(block, windows, solver="iterative")
+        assert "window_cg_solves" not in profile.counters
+        direct = windowed_inverse(block, windows)
+        assert (iterative != direct).nnz == 0
+
+    def test_singular_shared_window_falls_back_per_aggressor(self, sweep6):
+        block, windows = _sweep_windows(sweep6)
+        # Filament 1 duplicates filament 0: the shared window is singular.
+        singular = block.copy()
+        singular[1, :] = singular[0, :]
+        singular[:, 1] = singular[:, 0]
+        with collect() as profile:
+            s_prime = windowed_inverse(singular, windows, policy=DEFAULT_POLICY)
+        assert profile.counters["window_fallback_batches"] == 1
+        assert profile.counters["solve_lu"] == block.shape[0]
+        assert np.all(np.isfinite(s_prime.data))
+        with pytest.raises(SingularMatrixError, match=r"window of aggressor \d+"):
+            windowed_inverse(singular, windows, policy=STRICT_POLICY)
+
+    @pytest.mark.parametrize("bits", [8, 12, 16])
+    def test_service_gw8_windows_stay_bit_identical(self, bits):
+        # The service's gw8 circuits must never reach the shared path:
+        # their escalated peaks are pinned to 8 digits, and one shared
+        # factorization moves S' by an ulp.
+        system = aligned_bus(bits)
+        parasitics = extract(system)
+        ((indices, block),) = parasitics.inductance_blocks.values()
+        windows = geometric_windows(system, indices, 8)
+        assert np.array_equal(
+            windowed_inverse(block, windows).toarray(),
+            windowed_inverse(block, windows, dedup=False).toarray(),
+        )
 
 
 class TestWindowedNetworks:
