@@ -47,7 +47,7 @@ from repro.circuit.spice_writer import write_spice
 from repro.extraction.parasitics import Parasitics
 from repro.geometry.bus import aligned_bus, nonaligned_bus
 from repro.geometry.spiral import square_spiral
-from repro.experiments.runner import ModelSpec, build_model
+from repro.experiments.runner import ModelSpec, build_model, build_vpec
 from repro.health.diagnostics import certify_passivity, check_spd, reports_to_json
 from repro.health.errors import NumericalHealthError
 from repro.pipeline.cache import (
@@ -56,7 +56,6 @@ from repro.pipeline.cache import (
     resolve_cache,
 )
 from repro.pipeline.profiling import collect
-from repro.vpec.flow import full_vpec, localized_vpec, truncated_vpec, windowed_vpec
 from repro.vpec.passivity import audit_network
 
 
@@ -106,9 +105,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["direct", "iterative"],
         default="direct",
         help="gw/nw window-solve backend: batched direct solves or "
-        "Jacobi-preconditioned CG with a direct holdout fallback "
-        "(iterative also routes escalated-victim transients through "
-        "the ILU-preconditioned iterative tier)",
+        "Jacobi-preconditioned CG with a direct holdout fallback",
     )
 
 
@@ -216,16 +213,22 @@ def _extraction_options(args: argparse.Namespace) -> dict:
     return options
 
 
+class _UsageError(Exception):
+    """Flags the command cannot run with: one ``error:`` line, exit 2."""
+
+
 def _model_spec(args: argparse.Namespace) -> ModelSpec:
-    kind = args.model
-    return ModelSpec(
-        kind,
-        nw=args.nw,
-        nl=args.nl,
-        threshold=args.threshold,
-        window=args.window,
-        solver=getattr(args, "solver", "direct"),
-    )
+    try:
+        return ModelSpec(
+            args.model,
+            nw=args.nw,
+            nl=args.nl,
+            threshold=args.threshold,
+            window=args.window,
+            solver=getattr(args, "solver", "direct"),
+        )
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -274,11 +277,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_netlist(args: argparse.Namespace) -> int:
+    spec = _model_spec(args)
     cache = _cache(args)
     parasitics = cached_extract(
         _geometry(args), cache=cache, **_extraction_options(args)
     )
-    built = build_model(_model_spec(args), parasitics, cache=cache)
+    built = build_model(spec, parasitics, cache=cache)
     text = write_spice(built.circuit)
     if args.output:
         with open(args.output, "w", encoding="ascii") as handle:
@@ -293,11 +297,12 @@ def _cmd_netlist(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosstalk(args: argparse.Namespace) -> int:
+    spec = _model_spec(args)
     cache = _cache(args)
     parasitics = cached_extract(
         _geometry(args), cache=cache, **_extraction_options(args)
     )
-    built = build_model(_model_spec(args), parasitics, cache=cache)
+    built = build_model(spec, parasitics, cache=cache)
     report = crosstalk_report(
         built.skeleton,
         step(args.vdd, rise_time=args.rise * 1e-12),
@@ -332,12 +337,10 @@ def _cmd_noise(args: argparse.Namespace) -> int:
     # The geometry group is optional at parse time so the ``sweep`` and
     # ``calibrate`` subcommands can omit it; a plain scan still needs it.
     if args.bus is None and args.nonaligned_bus is None and args.spiral is None:
-        print(
-            "error: repro noise needs a geometry "
-            "(--bus, --nonaligned-bus or --spiral)",
-            file=sys.stderr,
+        raise _UsageError(
+            "repro noise needs a geometry (--bus, --nonaligned-bus or --spiral)"
         )
-        return 2
+    spec = _model_spec(args)
     cache = _cache(args)
     parasitics = cached_extract(
         _geometry(args), cache=cache, **_extraction_options(args)
@@ -353,7 +356,7 @@ def _cmd_noise(args: argparse.Namespace) -> int:
     )
     report = run_noise_scan(
         parasitics,
-        spec=_model_spec(args),
+        spec=spec,
         config=config,
         cache=cache,
         verify=args.verify,
@@ -481,12 +484,15 @@ def _cmd_noise_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    spec = _model_spec(args)
+    if spec.kind == "peec":
+        raise _UsageError("audit applies to VPEC models, not peec")
     parasitics = cached_extract(
         _geometry(args), cache=_cache(args), **_extraction_options(args)
     )
     if args.health:
-        return _audit_health(args, parasitics)
-    result = _vpec_flow(args, parasitics)
+        return _audit_health(args, spec, parasitics)
+    result = build_vpec(spec, parasitics)
     print(f"model: {result.flavor} (sparse factor {result.sparse_factor:.3f})")
     ok = True
     for group, network in enumerate(result.model.networks):
@@ -502,7 +508,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _audit_health(args: argparse.Namespace, parasitics: Parasitics) -> int:
+def _audit_health(
+    args: argparse.Namespace, spec: ModelSpec, parasitics: Parasitics
+) -> int:
     """Numerical-health audit: L-block SPD reports + Ghat certificates."""
     parasitics.validate()
     reports = []
@@ -515,7 +523,7 @@ def _audit_health(args: argparse.Namespace, parasitics: Parasitics) -> int:
                 name=f"L[{axis.name}] ({block.shape[0]}x{block.shape[0]})",
             )
         )
-    result = _vpec_flow(args, parasitics)
+    result = build_vpec(spec, parasitics)
     # The Lemma-1 sign check (all Ghat off-diagonals <= 0, all row sums
     # >= 0) is a *bus-structure* property: spirals carry legitimately
     # positive coupling resistances in their exact inverse while staying
@@ -555,22 +563,6 @@ def _audit_health(args: argparse.Namespace, parasitics: Parasitics) -> int:
         print(f"health report -> {args.health_json}")
     print("PASS: model is healthy" if ok else "FAIL: model failed health checks")
     return 0 if ok else 1
-
-
-def _vpec_flow(args: argparse.Namespace, parasitics: Parasitics):
-    if args.model == "full":
-        return full_vpec(parasitics)
-    if args.model == "localized":
-        return localized_vpec(parasitics)
-    if args.model == "gt":
-        return truncated_vpec(parasitics, nw=args.nw, nl=args.nl)
-    if args.model == "nt":
-        return truncated_vpec(parasitics, threshold=args.threshold)
-    if args.model == "gw":
-        return windowed_vpec(parasitics, window_size=args.window)
-    if args.model == "nw":
-        return windowed_vpec(parasitics, threshold=args.threshold)
-    raise SystemExit(f"audit does not apply to model {args.model!r}")
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -1195,22 +1187,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 1 if "[FAIL]" in text else 0
 
 
+def _run(args: argparse.Namespace) -> int:
+    try:
+        return args.func(args)
+    except NumericalHealthError as error:
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code.
 
     Numerical failures surface as the typed taxonomy of
     :mod:`repro.health.errors` and exit with code 2 -- a bare traceback
-    from deep inside a solve never reaches the terminal.
+    from deep inside a solve never reaches the terminal.  So do flag
+    combinations no model accepts (e.g. ``--solver iterative`` on a
+    non-windowed ``--model``).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     destination = getattr(args, "profile", None)
     if destination is None:
-        try:
-            return args.func(args)
-        except NumericalHealthError as error:
-            print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-            return 2
+        return _run(args)
     # Stage timings go to stderr so --profile composes with commands
     # that stream their payload (e.g. a netlist) to stdout.  Tracing
     # allocations is what populates the per-stage peak_alloc column;
@@ -1222,11 +1222,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracemalloc.start()
     try:
         with collect() as profile:
-            try:
-                code = args.func(args)
-            except NumericalHealthError as error:
-                print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-                code = 2
+            code = _run(args)
     finally:
         if started_tracing:
             tracemalloc.stop()

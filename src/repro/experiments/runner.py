@@ -34,6 +34,7 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.hashing import stable_hash
 from repro.vpec.flow import (
+    VpecBuildResult,
     full_vpec,
     localized_vpec,
     truncated_vpec,
@@ -197,22 +198,7 @@ def _build_model_cold(spec: ModelSpec, parasitics: Parasitics) -> BuiltModel:
             build_seconds=elapsed,
             sparse_factor=1.0,
         )
-    if spec.kind == "full":
-        result = full_vpec(parasitics)
-    elif spec.kind == "localized":
-        result = localized_vpec(parasitics)
-    elif spec.kind == "gt":
-        result = truncated_vpec(parasitics, nw=spec.nw, nl=spec.nl)
-    elif spec.kind == "nt":
-        result = truncated_vpec(parasitics, threshold=spec.threshold)
-    elif spec.kind == "gw":
-        result = windowed_vpec(
-            parasitics, window_size=spec.window, solver=spec.solver
-        )
-    else:  # "nw"
-        result = windowed_vpec(
-            parasitics, threshold=spec.threshold, solver=spec.solver
-        )
+    result = build_vpec(spec, parasitics)
     return BuiltModel(
         spec=spec,
         circuit=result.model.circuit,
@@ -220,6 +206,31 @@ def _build_model_cold(spec: ModelSpec, parasitics: Parasitics) -> BuiltModel:
         build_seconds=result.build_seconds,
         sparse_factor=result.sparse_factor,
     )
+
+
+def build_vpec(spec: ModelSpec, parasitics: Parasitics) -> VpecBuildResult:
+    """Run the VPEC flow of a spec (uncached; any kind but ``peec``).
+
+    :func:`build_model` keeps only the circuit of the result; the
+    passivity and health audits read its per-direction networks.
+    """
+    if spec.kind == "full":
+        return full_vpec(parasitics)
+    if spec.kind == "localized":
+        return localized_vpec(parasitics)
+    if spec.kind == "gt":
+        return truncated_vpec(parasitics, nw=spec.nw, nl=spec.nl)
+    if spec.kind == "nt":
+        return truncated_vpec(parasitics, threshold=spec.threshold)
+    if spec.kind == "gw":
+        return windowed_vpec(
+            parasitics, window_size=spec.window, solver=spec.solver
+        )
+    if spec.kind == "nw":
+        return windowed_vpec(
+            parasitics, threshold=spec.threshold, solver=spec.solver
+        )
+    raise ValueError(f"{spec.label} has no VPEC flow")
 
 
 @dataclass

@@ -500,9 +500,9 @@ def _aca_group(
 class LazyInductance:
     """Hierarchical block low-rank view of one per-axis ``L`` block:
     ``gather(rows, cols)`` / ``gather_stack(windows)`` return exact dense
-    submatrices, ``matvec()`` / ``matmat()`` apply without materializing,
-    plus ``diagonal()``, ``wire_sums(wire_of, num_wires)``, ``toarray()``
-    and ``compression_stats()``; picklable and shared-memory-columnable.
+    submatrices, plus ``diagonal()``, ``wire_sums(wire_of, num_wires)``,
+    ``toarray()`` and ``compression_stats()``; picklable and
+    shared-memory-columnable.
 
     Semantically a symmetric ``(n, n)`` matrix in the axis group's local
     index space, stored as a cluster tree plus a directory of dense
@@ -711,75 +711,6 @@ class LazyInductance:
                     u[local_r[members]] * v.T[local_c[members]]
                 ).sum(axis=1)
         return out
-
-    # ------------------------------------------------------------------
-    # Operator application
-    # ------------------------------------------------------------------
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``L @ x`` without materializing ``L`` (axis-local order).
-
-        One pass over the block directory: dense blocks contribute a
-        GEMV, low-rank blocks two skinny GEMVs (``U (V x)``), and every
-        off-diagonal block also applies its transpose so symmetry costs
-        no extra storage.  Cost is proportional to the stored entries --
-        ``O(N b + sum(rank * (ra + rb)))`` -- not ``N^2``.
-
-        The block iteration order is the block-table order, which the
-        planner fixes before any worker runs, so repeated applications
-        -- and applications through serial- vs parallel-built operators
-        of the same geometry -- are bit-identical.  Against the *dense*
-        ``L @ x`` the result agrees to a few ulp even at ``cutoff=0``
-        (every entry is then exact but the per-block summation grouping
-        differs from one long dot product), and to ~``cutoff`` when
-        compression is on.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected shape ({self.n},), got {x.shape}")
-        return self._apply(x)
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        """``L @ X`` for a column stack (see :meth:`matvec`); the block
-        pass is shared across columns, so batched right-hand sides cost
-        one traversal."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self.n:
-            raise ValueError(
-                f"expected shape ({self.n}, k), got {x.shape}"
-            )
-        return self._apply(x)
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        xt = x[self.perm]
-        yt = np.zeros_like(xt)
-        node_lo, node_hi = self.node_lo, self.node_hi
-        for (a, b), (kind, first, second) in self._blocks.items():
-            lo_a, hi_a = node_lo[a], node_hi[a]
-            lo_b, hi_b = node_lo[b], node_hi[b]
-            if kind == _KIND_DENSE:
-                yt[lo_a:hi_a] += first @ xt[lo_b:hi_b]
-                if a != b:
-                    yt[lo_b:hi_b] += first.T @ xt[lo_a:hi_a]
-            else:
-                yt[lo_a:hi_a] += first @ (second @ xt[lo_b:hi_b])
-                if a != b:
-                    yt[lo_b:hi_b] += second.T @ (first.T @ xt[lo_a:hi_a])
-        out = np.empty_like(yt)
-        out[self.perm] = yt
-        return out
-
-    def leaf_diagonal_blocks(self) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """The exact near-field diagonal: ``(lo, hi, block)`` per leaf.
-
-        Tree coordinates (``perm`` maps slots back to axis-local
-        indices); each block is the leaf's stored dense self-coupling.
-        This is the material of the block-Jacobi preconditioner in
-        :mod:`repro.health.iterative`.
-        """
-        for node in range(self.node_lo.size):
-            if self.node_left[node] == -1:
-                _, first, _ = self._blocks[(node, node)]
-                yield int(self.node_lo[node]), int(self.node_hi[node]), first
 
     # ------------------------------------------------------------------
     # Whole-matrix views

@@ -24,7 +24,7 @@ factorization touches them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 from scipy import linalg, sparse
@@ -61,25 +61,10 @@ class FallbackPolicy:
         ``||Ax - b|| <= rtol (||A|| ||x|| + ||b||)``.
     gmres_rtol, gmres_restart, gmres_maxiter:
         Tolerances of the GMRES last resort.
-    prefer_iterative:
-        Try the preconditioned GMRES tier *first* for sparse systems
-        (:class:`ResilientFactor`), before any direct factorization.
-        The escalation chain stays intact underneath: a failed or
-        non-convergent iterative solve abandons the tier permanently
-        and falls through to SuperLU / Tikhonov exactly as if it had
-        never been preferred.
-    ilu_drop_tol, ilu_fill_factor:
-        Quality of the incomplete-LU preconditioner (``None`` keeps
-        scipy's defaults).  An iterative-first policy wants a much
-        stronger ILU than the last-resort default: the factorization is
-        built once per system and amortized over every solve, so a
-        near-complete ILU buys few-iteration convergence for the price
-        of one sparse factorization.
     """
 
     regularize: bool = True
     iterative: bool = True
-    prefer_iterative: bool = False
     ridge_scale: float = 1e-12
     ridge_growth: float = 100.0
     max_ridge_attempts: int = 6
@@ -87,8 +72,6 @@ class FallbackPolicy:
     gmres_rtol: float = 1e-10
     gmres_restart: int = 200
     gmres_maxiter: int = 400
-    ilu_drop_tol: Optional[float] = None
-    ilu_fill_factor: Optional[float] = None
 
     def with_ridges(self) -> List[float]:
         """Relative ridge magnitudes of the regularized attempts."""
@@ -313,12 +296,6 @@ class ResilientFactor:
         self._direct_method: str = "lu"
         self._passes = 0
         self._ilu: Any = None
-        self._abs_a: Any = None
-        self._iterative_abandoned = False
-        #: last accepted iterative solution per right-hand-side column
-        #: -- the warm start that makes the iterative-first tier cheap
-        #: in a transient loop, where consecutive solves barely differ.
-        self._warm: Dict[int, np.ndarray] = {}
         self.method: Optional[str] = None
 
     def _ridge_unit_sparse(self) -> float:
@@ -331,19 +308,6 @@ class ResilientFactor:
         """Solve for one right-hand side, escalating as needed."""
         rhs = np.asarray(rhs)
         require_finite(rhs, name=f"{self._name} right-hand side")
-        if (
-            self._policy.prefer_iterative
-            and self._policy.iterative
-            and self._direct is None
-            and not self._iterative_abandoned
-        ):
-            try:
-                return self._solve_gmres(rhs)
-            except (SingularMatrixError, ConvergenceError):
-                # Monotone like every other tier: once the iterative
-                # path fails it is never retried, and the direct chain
-                # takes over from its top.
-                self._iterative_abandoned = True
         while True:
             if self._direct is None and not self._advance():
                 break
@@ -358,7 +322,7 @@ class ResilientFactor:
             )
             self._direct = None
             self._passes = 0
-        if self._policy.iterative and not self._iterative_abandoned:
+        if self._policy.iterative:
             return self._solve_gmres(rhs)
         raise SingularMatrixError(
             f"{self._name} could not be factorized by any method the "
@@ -393,79 +357,29 @@ class ResilientFactor:
         # transient time loop runs thousands) skip the extra matvec.
         if self._passes >= 3:
             return True
-        return self._residual_ok(x, rhs)
-
-    def _residual_ok(self, x: np.ndarray, rhs: np.ndarray) -> bool:
         residual = self._a @ x - rhs
         bound = self._policy.residual_rtol * (
             self._norm * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs))
         )
         return float(np.linalg.norm(residual)) <= bound + 1e-300
 
-    def _componentwise_ok(self, x: np.ndarray, rhs: np.ndarray) -> bool:
-        """Oettli-Prager componentwise backward error vs ``residual_rtol``.
-
-        MNA matrices mix entry scales across many orders of magnitude
-        (conductances vs ``C/dt`` companion terms vs unit source rows),
-        which makes the normwise bound of :meth:`_residual_ok` vacuous:
-        ``|A|`` is dominated by the large rows, so *any* solution of
-        moderate norm passes.  The componentwise error
-        ``max_i |r_i| / (|A| |x| + |b|)_i`` judges each equation on its
-        own scale -- a backward-stable solve lands near machine epsilon
-        and a wrong one near 1, regardless of row scaling -- so this is
-        the acceptance test of the iterative-first tier.
-        """
-        if self._abs_a is None:
-            self._abs_a = abs(self._a)
-        residual = np.abs(self._a @ x - rhs)
-        denom = self._abs_a @ np.abs(x) + np.abs(rhs)
-        mask = denom > 0.0
-        if np.any(residual[~mask] != 0.0):
-            return False
-        if not np.any(mask):
-            return True
-        error = float(np.max(residual[mask] / denom[mask]))
-        return error <= self._policy.residual_rtol
-
-    def _solve_gmres(self, rhs: np.ndarray, key: int = 0) -> np.ndarray:
+    def _solve_gmres(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.ndim == 2:
             # GMRES is single-vector; batched callers fall back to a
-            # column loop only on this tier.  Each column keeps its own
-            # warm-start slot.
+            # column loop only on this last-resort tier.
             return np.stack(
-                [
-                    self._solve_gmres(rhs[:, k], key=k)
-                    for k in range(rhs.shape[1])
-                ],
+                [self._solve_gmres(rhs[:, k]) for k in range(rhs.shape[1])],
                 axis=1,
             )
         if self._ilu is None:
             ridge = self._policy.ridge_scale * self._unit
-            # The iterative-first tier preconditions the *unperturbed*
-            # matrix: ``ridge_scale * mean diag`` is calibrated for
-            # balanced matrices, and on badly row-scaled MNA systems it
-            # can dwarf the small-scale equations outright.  The ridged
-            # build stays as the backstop (and as the last-resort
-            # behavior, where the ridge is what makes a numerically
-            # singular factorization possible at all).
-            ridges = [0.0, ridge] if self._policy.prefer_iterative else [ridge]
-            error: Optional[Exception] = None
-            for mu in ridges:
-                a_mat = self._a
-                if mu > 0.0:
-                    a_mat = (a_mat + mu * sparse.identity(
-                        a_mat.shape[0], dtype=a_mat.dtype, format="csc"
+            try:
+                self._ilu = spilu(
+                    (self._a + ridge * sparse.identity(
+                        self._a.shape[0], dtype=self._a.dtype, format="csc"
                     )).tocsc()
-                try:
-                    self._ilu = spilu(
-                        a_mat,
-                        drop_tol=self._policy.ilu_drop_tol,
-                        fill_factor=self._policy.ilu_fill_factor,
-                    )
-                    break
-                except (RuntimeError, ValueError) as exc:
-                    error = exc
-            if self._ilu is None:
+                )
+            except (RuntimeError, ValueError) as error:
                 self.log.record("gmres_ilu", False, f"ILU failed: {error}")
                 raise SingularMatrixError(
                     f"incomplete LU of {self._name} failed; the system is "
@@ -475,55 +389,18 @@ class ResilientFactor:
         preconditioner = LinearOperator(
             self._a.shape, matvec=self._ilu.solve, dtype=self._a.dtype
         )
-        x0 = self._warm.get(key)
-        if x0 is not None and x0.shape != rhs.shape:
-            x0 = None
-        if self._policy.prefer_iterative:
-            # Fast path of the iterative-first tier: preconditioned
-            # refinement from the warm start.  With a strong ILU one
-            # correction normally lands inside the componentwise
-            # backward-error bound, making a transient-loop solve a
-            # couple of matvecs instead of a full GMRES budget.
-            x = x0 if x0 is not None else self._ilu.solve(rhs)
-            for _ in range(4):
-                if not np.all(np.isfinite(x)):
-                    break
-                if self._componentwise_ok(x, rhs):
-                    self.log.record("ilu_refine", True)
-                    self.method = "ilu_refine"
-                    self._warm[key] = x
-                    return x
-                x = x + self._ilu.solve(rhs - self._a @ x)
-            if np.all(np.isfinite(x)):
-                x0 = x
         x, info = gmres(
             self._a,
             rhs,
-            x0=x0,
             M=preconditioner,
             rtol=self._policy.gmres_rtol,
             atol=0.0,
             restart=self._policy.gmres_restart,
             maxiter=self._policy.gmres_maxiter,
         )
-        # ``info > 0`` only means GMRES's *own* relative-residual target
-        # was not met within the iteration budget.  On severely
-        # ill-conditioned systems that target is unreachable in double
-        # precision for *any* solver (the direct tiers hit the same
-        # floor), so the iterative-first tier additionally accepts any
-        # solution passing the componentwise backward-error bound.  The
-        # *last-resort* use of this tier keeps the strict convergence
-        # contract.
-        if np.all(np.isfinite(x)) and (
-            info == 0
-            or (
-                self._policy.prefer_iterative
-                and self._componentwise_ok(x, rhs)
-            )
-        ):
+        if info == 0 and np.all(np.isfinite(x)):
             self.log.record("gmres_ilu", True)
             self.method = "gmres_ilu"
-            self._warm[key] = x
             return x
         self.log.record("gmres_ilu", False, f"gmres info={info}")
         raise ConvergenceError(

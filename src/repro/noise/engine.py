@@ -96,31 +96,6 @@ from repro.pipeline.profiling import StageProfile, add_counter, stage
 #: peak at 544 MB of resident memory instead of 825 MB.
 MAX_COLUMNS_PER_SIM = 24
 
-#: Transient-solve policy of iterative-solver noise scans: the sparse
-#: MNA systems of the escalated-victim tiers go through the
-#: ILU-preconditioned GMRES tier *first* (at a tightened tolerance so
-#: screening / peak decisions match the direct path), with the full
-#: direct escalation chain intact underneath as the fallback.
-ITERATIVE_TRANSIENT_POLICY = FallbackPolicy(
-    prefer_iterative=True,
-    residual_rtol=1e-12,
-    gmres_rtol=1e-12,
-    gmres_restart=40,
-    gmres_maxiter=2,
-    ilu_drop_tol=1e-12,
-    ilu_fill_factor=200.0,
-)
-
-
-def _transient_policy(
-    spec: ModelSpec, policy: Optional[FallbackPolicy]
-) -> Optional[FallbackPolicy]:
-    """The caller's policy, or the iterative-first default of an
-    ``solver="iterative"`` spec when the caller passed none."""
-    if policy is None and spec.solver == "iterative":
-        return ITERATIVE_TRANSIENT_POLICY
-    return policy
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -698,9 +673,7 @@ def simulate_escalated(
     ``(m + f) * dt`` adds ``vdd * ((1 - f) y[k - m] + f y[k - m - 1])``
     of its ramp response ``y``.  When ``rise / dt`` is fractional that
     blend misses one sample per launch (:func:`_ramp_knot`), which a
-    unit-step column per source supplies as an impulse response.  A
-    ``solver="iterative"`` spec runs the transients on the
-    iterative-first tier unless ``policy`` overrides it.
+    unit-step column per source supplies as an impulse response.
     """
     config = item.config
     dt = config.dt
@@ -740,7 +713,7 @@ def simulate_escalated(
                 dt,
                 scenarios,
                 probe_nodes=probes,
-                policy=_transient_policy(item.spec, policy),
+                policy=policy,
             )
         sim_seconds += time.perf_counter() - sim_start
         for i, agg in enumerate(sources):
@@ -987,7 +960,7 @@ def _verify_victim(
         t_stop,
         config.dt,
         probe_nodes=[probe],
-        policy=_transient_policy(spec, policy),
+        policy=policy,
     )
     peak, _ = _masked_metrics(result.voltage(probe), sensitive)
     scale = max(abs(peak), 1e-30)

@@ -42,7 +42,7 @@ from repro.extraction.hierarchical import (
     hierarchical_blocks,
 )
 from repro.extraction.inductance import axis_geometry, clear_gmd_cache
-from repro.extraction.parasitics import Parasitics, extract
+from repro.extraction.parasitics import extract
 from repro.geometry.bus import aligned_bus, nonaligned_bus
 from repro.geometry.crossbar import crossbar
 from repro.pipeline.hashing import stable_hash
@@ -450,64 +450,6 @@ class TestSharedMemoryRoundTrip:
         finally:
             block.close()
             block.unlink()
-
-
-class TestOperatorApply:
-    """``matvec``/``matmat``: the operator as a linear map, no gather."""
-
-    def _pair(self):
-        system = nonaligned_bus(16, segments_per_line=4, offset_jitter=0.3)
-        (_, operator), = _blocks(system, TEST_CONFIG).values()
-        (_, exact), = _dense_blocks(system).values()
-        return operator, np.asarray(exact)
-
-    def test_matvec_matches_exact_within_cutoff(self):
-        operator, exact = self._pair()
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=operator.shape[0])
-        scale = np.abs(exact @ x).max()
-        np.testing.assert_allclose(
-            operator.matvec(x), exact @ x, rtol=0, atol=1e-10 * scale
-        )
-
-    def test_matvec_is_deterministic_and_exact_at_cutoff_zero(self):
-        system = nonaligned_bus(16, segments_per_line=4, offset_jitter=0.3)
-        (_, operator), = _blocks(system, EXACT_CONFIG).values()
-        (_, exact), = _dense_blocks(system).values()
-        exact = np.asarray(exact)
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=operator.shape[0])
-        first = operator.matvec(x)
-        assert np.array_equal(first, operator.matvec(x))
-        # Block-order summation differs from one dense GEMV, so the
-        # cutoff-0 comparison is allclose at accumulation level, not
-        # bitwise.
-        np.testing.assert_allclose(
-            first, exact @ x, rtol=0, atol=1e-12 * np.abs(exact @ x).max()
-        )
-
-    def test_matmat_matches_stacked_matvecs(self):
-        operator, exact = self._pair()
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(operator.shape[0], 3))
-        result = operator.matmat(x)
-        assert result.shape == x.shape
-        scale = np.abs(exact @ x).max()
-        np.testing.assert_allclose(result, exact @ x, rtol=0, atol=1e-10 * scale)
-        for k in range(x.shape[1]):
-            np.testing.assert_allclose(
-                result[:, k], operator.matvec(x[:, k]), rtol=0,
-                atol=1e-12 * scale,
-            )
-
-    def test_symmetry_through_the_apply(self):
-        operator, _ = self._pair()
-        n = operator.shape[0]
-        rng = np.random.default_rng(3)
-        x, y = rng.normal(size=n), rng.normal(size=n)
-        left = float(y @ operator.matvec(x))
-        right = float(x @ operator.matvec(y))
-        assert left == pytest.approx(right, rel=1e-12)
 
 
 class TestParallelAssembly:

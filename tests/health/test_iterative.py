@@ -1,40 +1,21 @@
-"""Operator-level iterative solves: stacked CG, block-Jacobi CG, GMRES.
+"""Batched window CG: :func:`stacked_jacobi_cg` over ``(K, b, b)`` stacks.
 
-These back the 10^6-filament path, where ``L`` exists only as a matvec:
-the window solves run through :func:`stacked_jacobi_cg` and anything
-``L x = b``-shaped through :func:`operator_solve`.  The contract under
-test is the health module's usual one -- every answer is residual-
-certified, non-convergence is a typed error or an explicit mask, and
-nothing materializes the operator.
+The wVPEC window solves of ``solver="iterative"`` run through it.  The
+contract under test is the health module's usual one -- every answer is
+residual-certified, and a system that will not converge is reported in
+the mask (for the caller's direct fallback), never returned as if it
+had.
 """
 
 import numpy as np
-import pytest
 
-from repro.extraction.hierarchical import HierarchicalConfig, hierarchical_blocks
-from repro.geometry.bus import nonaligned_bus
-from repro.health import ConvergenceError, FallbackPolicy
-from repro.health.iterative import (
-    BlockJacobiPreconditioner,
-    operator_solve,
-    stacked_jacobi_cg,
-)
-from repro.pipeline.profiling import collect
-
-TREE_CONFIG = HierarchicalConfig(leaf_size=8)
+from repro.health.iterative import stacked_jacobi_cg
 
 
 def _spd_stack(count: int, width: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(count, width, width))
     return base @ base.transpose(0, 2, 1) + width * np.eye(width)
-
-
-def _operator(bits: int = 24):
-    system = nonaligned_bus(bits, segments_per_line=3, offset_jitter=0.3, seed=7)
-    blocks = hierarchical_blocks(system, config=TREE_CONFIG)
-    _, block = blocks[next(iter(blocks))]
-    return block
 
 
 class TestStackedJacobiCG:
@@ -86,74 +67,3 @@ class TestStackedJacobiCG:
         )
         assert ok_alone[0] and ok_paired[0]
         assert np.array_equal(alone[0], paired[0])
-
-
-class TestBlockJacobiPreconditioner:
-    def test_leaves_cover_the_axis_contiguously(self):
-        operator = _operator()
-        edges = list(operator.leaf_diagonal_blocks())
-        assert edges[0][0] == 0
-        assert edges[-1][1] == operator.shape[0]
-        for (_, hi, _), (lo, _, _) in zip(edges, edges[1:]):
-            assert hi == lo
-
-    def test_applies_the_exact_leaf_inverse(self):
-        operator = _operator()
-        precond = BlockJacobiPreconditioner(operator)
-        rng = np.random.default_rng(8)
-        v = rng.normal(size=operator.shape[0])
-        u = precond(v)
-        # M u = v leaf by leaf, in tree coordinates.
-        u_tree, v_tree = u[operator.perm], v[operator.perm]
-        for lo, hi, block in operator.leaf_diagonal_blocks():
-            np.testing.assert_allclose(
-                np.asarray(block) @ u_tree[lo:hi], v_tree[lo:hi],
-                rtol=0, atol=1e-10 * np.abs(v).max(),
-            )
-
-
-class TestOperatorSolve:
-    def test_matches_dense_solve(self):
-        operator = _operator()
-        dense = operator.toarray()
-        rng = np.random.default_rng(9)
-        rhs = rng.normal(size=operator.shape[0])
-        with collect() as profile:
-            x = operator_solve(operator, rhs)
-        expected = np.linalg.solve(dense, rhs)
-        np.testing.assert_allclose(x, expected, rtol=1e-8)
-        assert profile.counters["operator_cg_iterations"] >= 1
-
-    def test_column_stack_and_single_vector_agree(self):
-        operator = _operator()
-        rng = np.random.default_rng(10)
-        rhs = rng.normal(size=(operator.shape[0], 3))
-        stacked = operator_solve(operator, rhs)
-        assert stacked.shape == rhs.shape
-        dense = operator.toarray()
-        np.testing.assert_allclose(
-            stacked, np.linalg.solve(dense, rhs), rtol=1e-8
-        )
-
-    def test_starved_cg_escalates_to_gmres(self):
-        operator = _operator()
-        rng = np.random.default_rng(11)
-        rhs = rng.normal(size=operator.shape[0])
-        policy = FallbackPolicy(
-            gmres_rtol=1e-10, gmres_restart=60, gmres_maxiter=50
-        )
-        x = operator_solve(operator, rhs, policy=policy, maxiter=1)
-        np.testing.assert_allclose(
-            x, np.linalg.solve(operator.toarray(), rhs), rtol=1e-6
-        )
-
-    def test_no_escalation_allowed_is_typed(self):
-        operator = _operator()
-        rhs = np.ones(operator.shape[0])
-        with pytest.raises(ConvergenceError):
-            operator_solve(
-                operator,
-                rhs,
-                policy=FallbackPolicy(iterative=False),
-                maxiter=1,
-            )

@@ -190,29 +190,10 @@ class TestDenseHierarchicalTwin:
 
 
 class TestIterativeTransientTwins:
-    """``spec.solver == "iterative"`` routes escalated-victim transients
-    through the iterative-first sparse tier; decisions must match the
-    direct scan and peaks agree to 1e-8 on the same parasitics."""
-
-    def test_policy_selection(self):
-        from repro.experiments.runner import gw_spec
-        from repro.health import FallbackPolicy
-        from repro.noise.engine import (
-            ITERATIVE_TRANSIENT_POLICY,
-            _transient_policy,
-        )
-
-        assert (
-            _transient_policy(gw_spec(8, solver="iterative"), None)
-            is ITERATIVE_TRANSIENT_POLICY
-        )
-        assert _transient_policy(gw_spec(8), None) is None
-        explicit = FallbackPolicy()
-        assert (
-            _transient_policy(gw_spec(8, solver="iterative"), explicit)
-            is explicit
-        )
-        assert ITERATIVE_TRANSIENT_POLICY.prefer_iterative
+    """``spec.solver == "iterative"`` builds the model with the CG window
+    backend; the escalated transients still run on the direct chain.
+    Decisions must match the direct scan and peaks agree to 1e-8 on the
+    same parasitics."""
 
     def test_iterative_scan_matches_direct_decisions(self, bus16_s1):
         from repro.experiments.runner import gw_spec
@@ -226,13 +207,11 @@ class TestIterativeTransientTwins:
                 config=config,
             )
         assert direct.num_escalated > 0
-        # The escalated transients run on the iterative tier: thousands
-        # of time steps' worth of refinement solves against at most one
-        # direct factorization per simulated system elsewhere in the
-        # flow (the policy governs the transient loop, not e.g. DC
-        # operating points).
-        assert profile.counters["solve_ilu_refine"] > 100
-        assert profile.counters.get("solve_lu", 0) <= direct.num_escalated
+        # The windows were solved by CG, the transients by SuperLU with
+        # no GMRES fallback.
+        assert profile.counters["window_cg_solves"] > 0
+        assert profile.counters["solve_lu"] > 0
+        assert "solve_gmres_ilu" not in profile.counters
         by_wire = {v.wire: v for v in direct.victims}
         for victim in iterative.victims:
             twin = by_wire[victim.wire]

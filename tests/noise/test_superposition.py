@@ -8,7 +8,7 @@ escalated victim, its aggressors driven by their own delayed
 ``step(vdd, rise, delay)`` sources, each waveform cut back to its
 owner's horizon.  Hypothesis draws bus widths, integer and fractional
 ``rise / dt``, on-grid and fractional launches, aggressor sets, the
-plan's ``parts`` and the solver tier; superposed peaks and areas must
+plan's ``parts`` and the window-solve backend; superposed peaks and areas must
 match the oracle to 1e-10 relative.
 
 A second check runs a real escalation item (the 16-bit bus of the
@@ -38,7 +38,6 @@ from repro.noise.engine import (
     NoiseConfig,
     SimulateItem,
     _masked_metrics,
-    _transient_policy,
     attach_quiet_bus_testbench,
     plan_simulations,
     screen_scenario,
@@ -99,7 +98,6 @@ def per_victim_metrics(parasitics, item):
         item.config.dt,
         _stimuli(item),
         probe_nodes=sorted({ports[c.victim].far for c in item.columns}),
-        policy=_transient_policy(item.spec, None),
     )
     return _cut_metrics(
         item,

@@ -399,19 +399,19 @@ class TestSweepJobs:
         assert second.checksum == first.checksum
 
     def test_sweep_job_honours_iterative_solver(self, monkeypatch):
-        """Escalated sweep transients take the iterative-first policy."""
+        """A sweep job's model is built with the CG window backend."""
         from repro.experiments.runner import gw_spec
-        from repro.noise import engine
+        from repro.health import iterative
 
-        policies = []
-        real_multi = engine.transient_analysis_multi
+        calls = []
+        real_cg = iterative.stacked_jacobi_cg
 
         def spy(*args, **kwargs):
-            policies.append(kwargs.get("policy"))
-            return real_multi(*args, **kwargs)
+            calls.append(args)
+            return real_cg(*args, **kwargs)
 
         monkeypatch.setattr(
-            "repro.noise.engine.transient_analysis_multi", spy
+            "repro.health.iterative.stacked_jacobi_cg", spy
         )
         request = JobRequest(
             op="sweep",
@@ -433,10 +433,7 @@ class TestSweepJobs:
         final = run(main())
         assert final.status == "done"
         assert final.result["scenarios"][0]["num_escalated"] > 0
-        assert policies
-        assert all(
-            policy is engine.ITERATIVE_TRANSIENT_POLICY for policy in policies
-        )
+        assert calls
         assert final.checksum == oneshot_result(request)["checksum"]
 
 
