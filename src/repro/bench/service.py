@@ -25,8 +25,9 @@ distribution plus a result digest to the benchmark trajectory:
 
 The request stream interleaves duplicates deterministically (seeded
 shuffle), so the run exercises the memo path, the shared-memory
-extraction cache, and the sharded escalation tier together -- p50
-reflects the memoized fast path, p99 the cold compute path.
+extraction cache, and the escalation tier -- source-sharded marches
+into the server's response store -- together: p50 reflects the
+memoized fast path, p99 the cold compute path.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def mixed_workloads(scale: int = 1) -> List[JobRequest]:
     ``scale`` multiplies the geometry sizes (1 keeps the suite fast
     enough for CI smoke runs while still covering every op, both bus
     generators, a spiral, and an escalating noise scan that exercises
-    the sharded simulation tier).
+    the source-sharded marches and the response store).
     """
     s = max(int(scale), 1)
     escalating = NoiseConfig(threshold_fraction=0.1)

@@ -242,6 +242,18 @@ class MnaSystem:
         self.__dict__["_incidence"] = incidence
         return incidence
 
+    def source_rows(self) -> np.ndarray:
+        """Rows of ``b(t)`` a source can make nonzero, ascending (cached).
+
+        Every other row of every right-hand side is zero, so the
+        transient source block keeps these rows only.
+        """
+        cached = self.__dict__.get("_source_rows")
+        if cached is None:
+            cached = np.unique(self.source_incidence().indices)
+            self.__dict__["_source_rows"] = cached
+        return cached
+
     def stimulus_matrix(self, times: np.ndarray) -> np.ndarray:
         """``(num_sources, num_times)`` transient source values."""
         return np.array(
@@ -270,7 +282,11 @@ class MnaSystem:
         times: np.ndarray,
         scenarios: Sequence[Mapping[str, Stimulus]],
     ) -> np.ndarray:
-        """``(num_times, size, num_scenarios)`` source block, shared base.
+        """``(num_times, rows, num_scenarios)`` source block, shared base.
+
+        ``rows`` are the :meth:`source_rows`; every other row of ``b(t)``
+        is zero, so the block is as tall as the source count, not the
+        system size.
 
         Stimulus evaluation is a Python loop over ``num_sources x
         num_times`` scalar calls -- by far the dominant per-scenario
@@ -281,7 +297,7 @@ class MnaSystem:
         to a full per-scenario evaluation because the same ``at`` calls
         produce the replaced rows.
 
-        The time axis leads so that ``out[n]`` -- the ``(size,
+        The time axis leads so that ``out[n]`` -- the ``(rows,
         num_scenarios)`` slice the integrator reads every step -- is
         one contiguous block; with the time axis in the middle every
         per-step read strides across the whole array and thrashes the
@@ -289,8 +305,10 @@ class MnaSystem:
         """
         times = np.asarray(times, dtype=float)
         base = self.stimulus_matrix(times)
-        incidence = self.source_incidence()
-        out = np.empty((len(times), self.size, len(scenarios)))
+        # Row-slicing keeps each kept row's nonzeros in column order, so
+        # every kept row sums exactly as in the full product.
+        incidence = self.source_incidence()[self.source_rows()]
+        out = np.empty((len(times), incidence.shape[0], len(scenarios)))
         for k, overrides in enumerate(scenarios):
             if overrides:
                 values = base.copy()

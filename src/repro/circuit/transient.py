@@ -146,6 +146,8 @@ def transient_analysis_multi(
     probe_nodes: Optional[Sequence[str]] = None,
     probe_branches: Optional[Sequence[str]] = None,
     policy: Optional[FallbackPolicy] = None,
+    x0: Optional[np.ndarray] = None,
+    start: int = 0,
 ) -> List[TransientResult]:
     """Integrate one circuit under several source scenarios at once.
 
@@ -159,10 +161,18 @@ def transient_analysis_multi(
     back-substitution on a ``(size, num_scenarios)`` block -- the
     classic structure-sharing multi-RHS win.  Returns one
     :class:`TransientResult` per scenario, in order.
+
+    A march resumes where an earlier one stopped: ``start`` is that
+    march's last whole step and ``x0`` its final states, ``(size,
+    num_scenarios)`` (each result's :attr:`TransientResult.state`, one
+    column per scenario).  The resumed results hold samples ``start,
+    ..., ceil(t_stop / dt)`` and equal that tail of one uninterrupted
+    march bit for bit: every step does the same arithmetic on the same
+    operands.
     """
     return _march(
         circuit, t_stop, dt, scenarios, method, probe_nodes, probe_branches,
-        policy,
+        policy, x0=x0, start=start,
     )
 
 
@@ -176,11 +186,13 @@ def _march(
     probe_branches: Optional[Sequence[str]],
     policy: Optional[FallbackPolicy],
     x0: Optional[np.ndarray] = None,
+    start: int = 0,
 ) -> List[TransientResult]:
     """The fixed-step march behind both public transient entry points.
 
-    ``x0`` (the single-scenario entry's explicit initial state) replaces
-    the DC operating point; it broadcasts across the scenario columns.
+    ``x0`` replaces the DC operating point: a ``(size,)`` vector (the
+    single-scenario entry's initial state) broadcasts across the
+    scenario columns, a ``(size, count)`` block sets each column's.
     """
     if t_stop <= 0 or dt <= 0:
         raise ValueError("t_stop and dt must be positive")
@@ -197,36 +209,51 @@ def _march(
     )
 
     steps = int(np.ceil(t_stop / dt))
-    times = np.arange(steps + 1) * dt
+    if not 0 <= start < steps:
+        raise ValueError(
+            f"start must be a whole step in [0, {steps}), got {start}"
+        )
+    if start and x0 is None:
+        raise ValueError("a march resumed at start > 0 needs its states x0")
+    times = np.arange(start, steps + 1) * dt
     count = len(scenarios)
 
-    # (steps + 1, size, count): every scenario's full source trajectory,
-    # time axis leading so each step reads one contiguous block.  The
-    # base stimulus matrix is evaluated once and shared; each scenario
-    # re-evaluates only its overridden sources.
+    # (samples, rows, count): every scenario's source trajectory on the
+    # source rows, time axis leading so each step reads one contiguous
+    # block.  The base stimulus matrix is evaluated once and shared;
+    # each scenario re-evaluates only its overridden sources.
+    rows = system.source_rows()
     b_all = system.rhs_transient_batch_multi(times, scenarios)
-    add_counter("rhs_batched_steps", (steps + 1) * count)
+    add_counter("rhs_batched_steps", len(times) * count)
 
     if x0 is None:
-        x = solve_dc(system, rhs=b_all[0])
+        b0 = np.zeros((system.size, count))
+        b0[rows] = b_all[0]
+        x = solve_dc(system, rhs=b0)
     else:
         x = np.array(x0, dtype=float)
-        if x.shape != (system.size,):
-            raise ValueError("x0 has the wrong size for this circuit")
-        x = x[:, None]
-    volt = np.empty((count, len(nodes), steps + 1))
-    curr = np.empty((count, len(branches), steps + 1))
+        if x.ndim == 1:
+            x = np.repeat(x[:, None], count, axis=1)
+        if x.shape != (system.size, count):
+            raise ValueError(
+                f"x0 must have shape ({system.size},) or "
+                f"({system.size}, {count}), got {np.shape(x0)}"
+            )
+    volt = np.empty((count, len(nodes), len(times)))
+    curr = np.empty((count, len(branches), len(times)))
     with stage("solve"):
         lhs, history = _factorize_step(system, dt, method, policy)
         _record_block(volt, curr, 0, x, node_rows, branch_rows)
-        for n in range(1, steps + 1):
+        for n in range(1, len(times)):
+            # The source rows add b in the order ``history @ x + b[n-1]
+            # + b[n]`` would; every other row of b is zero.
+            rhs = history @ x
             if method == "trapezoidal":
-                rhs = history @ x + b_all[n - 1] + b_all[n]
-            else:
-                rhs = history @ x + b_all[n]
+                rhs[rows] += b_all[n - 1]
+            rhs[rows] += b_all[n]
             x = lhs.solve(rhs)
             _record_block(volt, curr, n, x, node_rows, branch_rows)
-        add_counter("transient_steps", steps * count)
+        add_counter("transient_steps", (steps - start) * count)
 
     return [
         TransientResult(
@@ -235,6 +262,7 @@ def _march(
             branch_currents={b: curr[k, i] for i, b in enumerate(branches)},
             method=method,
             dt=dt,
+            state=x[:, k].copy(),
         )
         for k in range(count)
     ]

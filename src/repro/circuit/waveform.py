@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -55,6 +55,9 @@ class TransientResult:
     branch_currents: Dict[str, np.ndarray] = field(default_factory=dict)
     method: str = "trapezoidal"
     dt: float = 0.0
+    #: The full solution vector at the last sample: the ``x0`` a march
+    #: resumed from there starts with.
+    state: Optional[np.ndarray] = None
 
     def voltage(self, node: str) -> Waveform:
         """Waveform of a probed node voltage."""

@@ -7,7 +7,8 @@ non-finite waveforms) escaping from deep inside an experiment run.
 
 - :mod:`repro.health.errors` -- the exception taxonomy
   (:class:`SingularMatrixError`, :class:`PassivityViolationError`,
-  :class:`ConvergenceError`, :class:`NonFiniteInputError`);
+  :class:`ConvergenceError`, :class:`NonFiniteInputError`,
+  :class:`WorkerLostError`);
 - :mod:`repro.health.diagnostics` -- condition estimation, SPD checks,
   and passivity certificates as structured :class:`HealthReport`
   objects (the ``repro audit --health`` surface and CI artifact);
@@ -36,6 +37,7 @@ from repro.health.errors import (
     NumericalHealthError,
     PassivityViolationError,
     SingularMatrixError,
+    WorkerLostError,
 )
 from repro.health.faults import (
     FAULT_KINDS,
@@ -65,6 +67,7 @@ __all__ = [
     "SingularMatrixError",
     "PassivityViolationError",
     "ConvergenceError",
+    "WorkerLostError",
     "HealthReport",
     "check_spd",
     "certify_passivity",

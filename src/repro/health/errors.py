@@ -17,7 +17,9 @@ output).  The taxonomy is small and flat:
 - :class:`PassivityViolationError` -- a ``Ghat`` that certification
   (:mod:`repro.health.diagnostics`) could not prove passive;
 - :class:`ConvergenceError` -- the iterative last resort ran but did not
-  reach its tolerance.
+  reach its tolerance;
+- :class:`WorkerLostError` -- a worker process died under a work item
+  (killed, out of memory), so the item has no result at all.
 
 Catching :class:`NumericalHealthError` therefore catches every failure
 mode of the fault-tolerant solver chain (:mod:`repro.health.solvers`).
@@ -63,3 +65,11 @@ class PassivityViolationError(NumericalHealthError):
 
 class ConvergenceError(NumericalHealthError):
     """The iterative last-resort solver did not converge."""
+
+
+class WorkerLostError(NumericalHealthError):
+    """A worker process died before its work item returned.
+
+    Raised by the analysis service in place of the executor's untyped
+    ``BrokenProcessPool``, once the broken pool has been replaced.
+    """

@@ -94,26 +94,47 @@ STRICT_POLICY = FallbackPolicy(regularize=False, iterative=False)
 
 @dataclass
 class SolveAttempt:
-    """One recorded step of an escalation chain."""
+    """One recorded step of an escalation chain.
+
+    ``count`` consecutive successes of one method with one detail share
+    an entry (a transient march solves thousands of steps on one
+    factor).
+    """
 
     method: str
     succeeded: bool
     detail: str = ""
+    count: int = 1
 
 
 @dataclass
 class AttemptLog:
-    """Mutable log of the attempts one chain made (for reports/tests)."""
+    """Mutable log of the attempts one chain made (for reports/tests).
+
+    Its length is bounded by the chain, not by the solves: a run of
+    successes on one tier is one entry.  The ``solve_<method>`` counters
+    still count every solve.
+    """
 
     attempts: List[SolveAttempt] = field(default_factory=list)
 
     def record(self, method: str, succeeded: bool, detail: str = "") -> None:
-        self.attempts.append(SolveAttempt(method, succeeded, detail))
+        last = self.attempts[-1] if self.attempts else None
+        if (
+            succeeded
+            and last is not None
+            and last.succeeded
+            and (last.method, last.detail) == (method, detail)
+        ):
+            last.count += 1
+        else:
+            self.attempts.append(SolveAttempt(method, succeeded, detail))
         add_counter(f"solve_{method}")
         if not succeeded:
             add_counter("solve_fallbacks")
 
     def methods(self) -> List[str]:
+        """The chain: one method per entry, in order."""
         return [a.method for a in self.attempts]
 
 

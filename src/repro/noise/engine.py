@@ -10,27 +10,32 @@ potential aggressor:
    fail, by conservatism of the bound -- and cost nothing further.
 2. **Simulate** -- each screened-in victim is one escalated column: its
    aligned aggressors launch at the alignment instant, every other
-   wire holds quiet.  Columns sharing a testbench circuit share one
-   model build and one
-   :func:`~repro.circuit.transient.transient_analysis_multi` march with
-   one unit-ramp column per *driven source*, not per victim; the linear
-   testbench gives every victim's waveform as a sum of time-shifted
-   ramp responses of its aggressors (superposition).
+   wire holds quiet.  The linear testbench gives every victim's
+   waveform as a sum of time-shifted unit-ramp responses of its
+   aggressors (superposition), and those responses depend on the
+   testbench circuit alone -- not on the schedule or the threshold.
+   They are marched once per *driven source*, not per victim, with
+   :func:`~repro.circuit.transient.transient_analysis_multi`.
 
 The flow is written once, as a plan over scenarios shaped like the
 hierarchical extractor's plan/execute split: :func:`screen_scenario` is
 one scenario's screen item, :func:`plan_simulations` groups the
-escalated columns of many scenarios into :class:`SimulateItem` work
-items by testbench circuit, :func:`simulate_escalated` runs one item,
-and :func:`assemble_plan` finishes every scenario's report.  Items are
-plain picklable data, so a runner may execute them inline, over the
-process pool, or on the service's workers:
+escalated columns of many scenarios into one :class:`SimulateItem` per
+testbench circuit, :func:`plan_marches` turns an item into
+:class:`MarchItem` work items that bring a :class:`ResponseEntry` up to
+the item's needs, :func:`simulate_escalated` runs one march item,
+:func:`superpose` builds the item's victims from the entry, and
+:func:`assemble_plan` finishes every scenario's report.  Items are plain
+picklable data, so a runner may execute them inline, over the process
+pool, or on the service's workers:
 
 - :func:`run_noise_scan` is the one-scenario plan, run inline;
 - :func:`repro.noise.sweep.run_sweep` fans a scenario family's items
   out over the pipeline pool;
-- :class:`repro.service.server.AnalysisService` schedules the items of
-  ``noise`` and ``sweep`` jobs on its workers.
+- both run each item against a throwaway entry (:func:`escalate`);
+- :class:`repro.service.server.AnalysisService` keeps one retained
+  entry per circuit, which later noise and sweep jobs extend instead of
+  marching again (see :mod:`repro.service.responses`).
 
 Scans run on any VPEC/wVPEC/PEEC model family via
 :class:`~repro.experiments.runner.ModelSpec`, memoize whole reports in
@@ -56,7 +61,7 @@ import numpy as np
 from repro.bench.results import array_checksum
 from repro.circuit.sources import Stimulus, dc, step
 from repro.circuit.transient import transient_analysis, transient_analysis_multi
-from repro.circuit.waveform import TransientResult, Waveform
+from repro.circuit.waveform import Waveform
 from repro.constants import DRIVER_RESISTANCE, LOAD_CAPACITANCE, VDD
 from repro.experiments.runner import ModelSpec, build_model, gw_spec
 from repro.extraction.parasitics import Parasitics
@@ -88,12 +93,14 @@ from repro.pipeline.cache import (
 from repro.pipeline.hashing import stable_hash
 from repro.pipeline.profiling import StageProfile, add_counter, stage
 
-#: Source-column cap per escalation march.  It bounds the dense
-#: ``(steps, size, columns)`` right-hand-side block of a march: on the
-#: 64-bit bus with every victim escalated (64 driven sources), three
-#: capped marches take no longer than one uncapped march (5.2-7.1 s
-#: against 6.0-7.0 s over three runs, 2-CPU host, one BLAS thread) but
-#: peak at 544 MB of resident memory instead of 825 MB.
+#: Source-column cap per escalation march.  It bounds each march's
+#: ``(size, columns)`` states and solves and its ``(samples, probes,
+#: columns)`` responses.  It was measured when the march's source block
+#: was still ``size`` rows tall (it now spans the source rows only): on
+#: the 64-bit bus with every victim escalated (64 driven sources),
+#: three capped marches took no longer than one uncapped march
+#: (5.2-7.1 s against 6.0-7.0 s over three runs, 2-CPU host, one BLAS
+#: thread) but peaked at 544 MB of resident memory instead of 825 MB.
 MAX_COLUMNS_PER_SIM = 24
 
 
@@ -354,7 +361,9 @@ class EscalationTierResult:
     sensitive windows.  Each column's waveform is superposed from its
     aggressors' unit-ramp responses on the fixed ``k * dt`` grid, on
     exactly its owner's ``ceil(horizon / dt) + 1`` samples, so results
-    of items simulated separately merge by dict union.
+    of items simulated separately merge by dict union.  The seconds are
+    those of the marches run for the item (zero when a retained entry
+    already held every response).
     """
 
     metrics: Dict[Tuple[int, int], Tuple[float, float]]
@@ -457,16 +466,19 @@ class ScreenedScenario:
         stimuli, so their escalated victims merge into one simulate item
         and share its source columns.
         """
-        config = self.config
-        return (
-            self.source,
-            self.spec,
-            config.driver_resistance,
-            config.load_capacitance,
-            config.dt,
-            config.vdd,
-            config.rise_time,
-        )
+        return _circuit_key(self.source, self.spec, self.config)
+
+
+def _circuit_key(source: Any, spec: ModelSpec, config: NoiseConfig) -> Tuple:
+    return (
+        source,
+        spec,
+        config.driver_resistance,
+        config.load_capacitance,
+        config.dt,
+        config.vdd,
+        config.rise_time,
+    )
 
 
 @dataclass(frozen=True)
@@ -485,29 +497,162 @@ class EscalatedColumn:
 
 @dataclass(frozen=True)
 class SimulateItem:
-    """Escalated columns sharing one testbench circuit: one work item.
+    """The escalated columns of one testbench circuit.
 
     ``config`` carries the circuit's electrical knobs (equal across the
     owners, see :attr:`ScreenedScenario.circuit`).  Columns are sorted by
-    horizon.
+    horizon.  ``wires`` counts the circuit's wires, every one a possible
+    source and probe of a complete :class:`ResponseEntry`.
     """
 
     source: Any
     spec: ModelSpec
     config: NoiseConfig
     columns: Tuple[EscalatedColumn, ...]
+    wires: Optional[int] = None
+
+    @property
+    def circuit(self) -> Tuple:
+        """The testbench key (see :attr:`ScreenedScenario.circuit`)."""
+        return _circuit_key(self.source, self.spec, self.config)
+
+    def reach(self) -> Dict[int, int]:
+        """The last response sample each driven source must reach.
+
+        A launch at ``(m + f) * dt`` on a column of ``ceil(horizon /
+        dt) + 1`` samples reads its source's responses up to sample
+        ``ceil(horizon / dt) - m``.
+        """
+        dt = self.config.dt
+        reach: Dict[int, int] = {}
+        for column in self.columns:
+            count = int(np.ceil(column.horizon / dt))
+            for agg, delay in column.launches:
+                whole, _ = _grid_offset(delay, dt)
+                reach[agg] = max(reach.get(agg, 0), count - whole)
+        return reach
+
+
+@dataclass(frozen=True)
+class MarchItem:
+    """One march work item: unit responses of some sources of a circuit.
+
+    Every source of ``sources`` is driven by its own unit-ramp column
+    (plus a unit-step column when ``rise / dt`` is fractional, see
+    :func:`_ramp_knot`) and probed at the far end of every ``probes``
+    wire, from sample ``start`` to at least its ``reach``.  A march with
+    ``start > 0`` resumes stored columns: ``states`` holds each
+    source's ``(size, bases)`` solution at sample ``start``.
+    """
+
+    source: Any
+    spec: ModelSpec
+    config: NoiseConfig
+    sources: Tuple[int, ...]
+    reach: Tuple[int, ...]
+    probes: Tuple[int, ...]
+    start: int = 0
+    states: Optional[Tuple[np.ndarray, ...]] = None
 
     def chunks(self) -> List[Tuple[int, ...]]:
-        """The item's driven sources (aggressor wires, ascending) in runs
-        of at most :data:`MAX_COLUMNS_PER_SIM`, one
-        :func:`transient_analysis_multi` call each."""
-        sources = sorted(
-            {agg for column in self.columns for agg, _ in column.launches}
-        )
+        """The sources in runs of at most :data:`MAX_COLUMNS_PER_SIM`,
+        one :func:`transient_analysis_multi` call each."""
         return [
-            tuple(sources[lo: lo + MAX_COLUMNS_PER_SIM])
-            for lo in range(0, len(sources), MAX_COLUMNS_PER_SIM)
+            tuple(self.sources[lo: lo + MAX_COLUMNS_PER_SIM])
+            for lo in range(0, len(self.sources), MAX_COLUMNS_PER_SIM)
         ]
+
+
+@dataclass(frozen=True)
+class ResponseSegment:
+    """One march's unit responses over a run of samples.
+
+    ``values[b, j, p]`` is source ``sources[j]``'s response to basis
+    ``b`` (0: the unit ramp, 1: the unit step) at the far end of wire
+    ``probes[p]``, samples ``start ...``; ``states[j]`` is that source's
+    ``(size, bases)`` solution at the last sample, where a later march
+    resumes it.
+    """
+
+    sources: Tuple[int, ...]
+    probes: Tuple[int, ...]
+    start: int
+    values: np.ndarray
+    states: np.ndarray
+
+    @property
+    def stop(self) -> int:
+        """The last sample held."""
+        return self.start + self.values.shape[-1] - 1
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.values.nbytes + self.states.nbytes)
+
+
+@dataclass(frozen=True)
+class MarchResult:
+    """Output of one march item: one segment per march chunk."""
+
+    segments: Tuple[ResponseSegment, ...]
+    build_seconds: float
+    sim_seconds: float
+
+
+class ResponseEntry:
+    """Unit responses of one testbench circuit, kept as march segments.
+
+    Segments are held as the marches returned them and never joined
+    into one array; :meth:`response` stitches the few samples one
+    superposed launch reads.  A source's segments must arrive in sample
+    order, each starting right after the last one's stop.
+    """
+
+    def __init__(self) -> None:
+        #: source -> [(segment, column of the source in it)], in order.
+        self._pieces: Dict[int, List[Tuple[ResponseSegment, int]]] = {}
+        self.nbytes = 0
+
+    def add(self, segments: Sequence[ResponseSegment]) -> None:
+        for segment in segments:
+            for source in segment.sources:
+                if segment.start != self.reach(source) + 1:
+                    raise ValueError(
+                        f"source {source}'s segment starts at sample "
+                        f"{segment.start}, after {self.reach(source)}"
+                    )
+            for column, source in enumerate(segment.sources):
+                self._pieces.setdefault(source, []).append((segment, column))
+            self.nbytes += segment.nbytes
+
+    def reach(self, source: int) -> int:
+        """The last sample held for ``source`` (-1: none)."""
+        pieces = self._pieces.get(source)
+        return pieces[-1][0].stop if pieces else -1
+
+    def state(self, source: int) -> np.ndarray:
+        """``source``'s ``(size, bases)`` solution at its reach."""
+        segment, column = self._pieces[source][-1]
+        return segment.states[column]
+
+    def response(
+        self, source: int, basis: int, probe: int, samples: int
+    ) -> np.ndarray:
+        """The first ``samples`` samples of ``source``'s response to
+        ``basis`` at the far end of wire ``probe``."""
+        parts = []
+        held = 0
+        for segment, column in self._pieces[source]:
+            if held >= samples:
+                break
+            row = segment.values[basis, column, segment.probes.index(probe)]
+            parts.append(row[: samples - held])
+            held += len(parts[-1])
+        if held < samples:
+            raise ValueError(
+                f"source {source} holds {held} samples, {samples} needed"
+            )
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def screen_scenario(
@@ -568,18 +713,15 @@ def screen_scenario(
 
 
 def plan_simulations(
-    screened: Sequence[ScreenedScenario], parts: int = 1
+    screened: Sequence[ScreenedScenario],
 ) -> List[SimulateItem]:
     """Group the escalated columns of a plan into simulate items.
 
-    Columns group by testbench circuit in first-appearance order and
-    sort by ``(horizon, owner, victim)``, so the plan is deterministic.
-    Each group becomes ``parts`` items of contiguous columns (fewer when
-    it has fewer columns) -- the service's shards.  Scenarios answered
-    from the cache or fully screened out contribute no columns.
+    Columns group by testbench circuit in first-appearance order, one
+    item each, and sort by ``(horizon, owner, victim)``, so the plan is
+    deterministic.  Scenarios answered from the cache or fully screened
+    out contribute no columns.
     """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
     groups: Dict[Tuple, List[EscalatedColumn]] = {}
     firsts: Dict[Tuple, ScreenedScenario] = {}
     for owner, scenario in enumerate(screened):
@@ -605,18 +747,109 @@ def plan_simulations(
     for circuit, columns in groups.items():
         columns.sort(key=lambda c: (c.horizon, c.owner, c.victim))
         first = firsts[circuit]
-        for part in np.array_split(
-            np.arange(len(columns)), min(parts, len(columns))
-        ):
-            items.append(
-                SimulateItem(
-                    source=first.source,
-                    spec=first.spec,
-                    config=first.config,
-                    columns=tuple(columns[i] for i in part),
-                )
+        items.append(
+            SimulateItem(
+                source=first.source,
+                spec=first.spec,
+                config=first.config,
+                columns=tuple(columns),
+                wires=len(first.switching),
             )
+        )
     return items
+
+
+def _bases(config: NoiseConfig) -> List[Stimulus]:
+    """The unit drives every source is marched under (see
+    :func:`_ramp_knot`): the ramp, and the step when ``rise / dt`` is
+    fractional."""
+    bases = [step(1.0, rise_time=config.rise_time)]
+    if _ramp_knot(config.rise_time / config.dt) is not None:
+        bases.append(step(1.0, rise_time=config.dt))
+    return bases
+
+
+def complete_bytes(item: SimulateItem, reach: int) -> int:
+    """Bytes of a complete entry of ``item``'s circuit held to ``reach``:
+    every wire a source and a probe, one column per basis."""
+    assert item.wires is not None
+    return len(_bases(item.config)) * item.wires**2 * (reach + 1) * 8
+
+
+def complete_reach(item: SimulateItem) -> int:
+    """The reach a complete entry of ``item``'s circuit is extended to.
+
+    The longest reach the item needs, and at least the longest any
+    schedule inside its clock period can need: launches lie in ``[0,
+    period]``, so no column reads past ``ceil((period + rise + settle)
+    / dt)`` samples.  Extended that far, an entry serves every later job
+    under that clock whatever its horizon.
+    """
+    config = item.config
+    span = config.period + config.rise_time + config.settle_time
+    return max(max(item.reach().values()), int(np.ceil(span / config.dt)))
+
+
+def plan_marches(
+    item: SimulateItem,
+    shards: int = 1,
+    entry: Optional[ResponseEntry] = None,
+) -> List[MarchItem]:
+    """March items that give ``item`` every response it reads.
+
+    Without ``entry`` -- a throwaway entry -- only the item's driven
+    sources march, each chunk to its own sources' reach, probed at the
+    item's victims.  With ``entry`` -- a *complete* entry, retained
+    across jobs -- every wire is a source and a probe.  An empty entry
+    marches every column from sample 0 to the longest reach the item
+    needs; an entry that falls short of it resumes every column from
+    its stored state out to :func:`complete_reach`, so under one clock
+    an entry is extended at most once, whatever order the jobs come in;
+    an entry that already reaches far enough needs no march.  The
+    sources split ``shards`` ways (fewer when there are fewer sources),
+    each item marching its share in :meth:`MarchItem.chunks`.
+    """
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    needed = item.reach()
+    start = 0
+    states = None
+    if entry is None:
+        sources = sorted(needed)
+        reach = [needed[agg] for agg in sources]
+        probes = tuple(sorted({column.victim for column in item.columns}))
+    else:
+        assert item.wires is not None
+        sources = list(range(item.wires))
+        held = min(entry.reach(wire) for wire in sources)
+        longest = max(needed.values())
+        if held >= longest:
+            return []
+        probes = tuple(sources)
+        if held >= 0:
+            longest = complete_reach(item)
+            start = held
+            states = [entry.state(wire) for wire in sources]
+        reach = [longest] * len(sources)
+    marches: List[MarchItem] = []
+    for part in np.array_split(
+        np.arange(len(sources)), min(shards, len(sources))
+    ):
+        marches.append(
+            MarchItem(
+                source=item.source,
+                spec=item.spec,
+                config=item.config,
+                sources=tuple(sources[i] for i in part),
+                reach=tuple(reach[i] for i in part),
+                probes=probes,
+                start=start,
+                states=None
+                if states is None
+                else tuple(states[i] for i in part),
+            )
+        )
+    return marches
 
 
 def _grid_offset(delay: float, dt: float) -> Tuple[int, float]:
@@ -655,56 +888,50 @@ def _ramp_residual(knot: int, fraction: float, ratio: float) -> float:
 
 def simulate_escalated(
     parasitics: Parasitics,
-    item: SimulateItem,
+    march: MarchItem,
     policy: Optional[FallbackPolicy] = None,
     cache: Optional[PipelineCache] = None,
-) -> EscalationTierResult:
-    """Tier 2: run one simulate item on one model build.
+) -> MarchResult:
+    """Tier 2's march: run one march item on one model build.
 
     The testbench is linear, starts all-quiet at 0 V, and every drive is
     the same clipped ramp, so a victim's waveform is a sum of
     time-shifted responses to one unit ramp per driven source.  Each
-    chunk of sources (:meth:`SimulateItem.chunks`) is one
+    chunk of sources (:meth:`MarchItem.chunks`) is one
     :func:`~repro.circuit.transient.transient_analysis_multi` call with
-    one unit-ramp column per source launched at ``t = 0``, integrated
-    only as far as the latest launch of that source needs.  Each
-    column's waveform is then built on its owner's own
-    ``ceil(horizon / dt) + 1`` samples: an aggressor launched at
-    ``(m + f) * dt`` adds ``vdd * ((1 - f) y[k - m] + f y[k - m - 1])``
-    of its ramp response ``y``.  When ``rise / dt`` is fractional that
-    blend misses one sample per launch (:func:`_ramp_knot`), which a
-    unit-step column per source supplies as an impulse response.
+    one unit-ramp column per source launched at ``t = 0`` (and one
+    unit-step column per source when ``rise / dt`` is fractional),
+    integrated only as far as the latest reach of its sources needs and,
+    for a resumed item, from its stored states.  A resumed chunk's
+    segment starts one sample after ``start``: the march's first sample
+    repeats the stored last one.
     """
-    config = item.config
+    config = march.config
     dt = config.dt
-    built = build_model(item.spec, parasitics, cache=cache)
+    built = build_model(march.spec, parasitics, cache=cache)
     attach_quiet_bus_testbench(
         built.skeleton, config.driver_resistance, config.load_capacitance
     )
-    ports = built.skeleton.ports
-    ratio = config.rise_time / dt
-    knot = _ramp_knot(ratio)
-    steps = [int(np.ceil(column.horizon / dt)) for column in item.columns]
-    offsets = [
-        [(agg,) + _grid_offset(delay, dt) for agg, delay in column.launches]
-        for column in item.columns
-    ]
-    # The last response sample any launch of each source reads.
-    reach: Dict[int, int] = {}
-    for count, launches in zip(steps, offsets):
-        for agg, whole, _ in launches:
-            reach[agg] = max(reach.get(agg, 0), count - whole)
-    bases = [step(1.0, rise_time=config.rise_time)]
-    if knot is not None:
-        bases.append(step(1.0, rise_time=dt))
-    probes = sorted({ports[column.victim].far for column in item.columns})
-    # responses[agg][basis]: the source's march result for that basis.
-    responses: Dict[int, List[TransientResult]] = {}
+    probes = [built.skeleton.ports[wire].far for wire in march.probes]
+    bases = _bases(config)
+    reach = dict(zip(march.sources, march.reach))
+    states = dict(zip(march.sources, march.states or ()))
+    skip = 1 if march.start else 0
+    segments: List[ResponseSegment] = []
     sim_seconds = 0.0
-    for sources in item.chunks():
+    for sources in march.chunks():
         scenarios = [
             {f"Vdrv{agg}": basis} for basis in bases for agg in sources
         ]
+        x0 = None
+        if states:
+            x0 = np.column_stack(
+                [
+                    states[agg][:, b]
+                    for b in range(len(bases))
+                    for agg in sources
+                ]
+            )
         sim_start = time.perf_counter()
         with stage("noise_escalation"):
             results = transient_analysis_multi(
@@ -714,23 +941,66 @@ def simulate_escalated(
                 scenarios,
                 probe_nodes=probes,
                 policy=policy,
+                x0=x0,
+                start=march.start,
             )
         sim_seconds += time.perf_counter() - sim_start
-        for i, agg in enumerate(sources):
-            responses[agg] = results[i:: len(sources)]
+        # Result k is basis k // len(sources) of source k % len(sources).
+        values = np.array(
+            [[r.node_voltages[node][skip:] for node in probes] for r in results]
+        )
+        final = np.stack([r.state for r in results])
+        segments.append(
+            ResponseSegment(
+                sources=sources,
+                probes=march.probes,
+                start=march.start + skip,
+                values=values.reshape(
+                    (len(bases), len(sources)) + values.shape[1:]
+                ),
+                states=final.reshape(len(bases), len(sources), -1).transpose(
+                    1, 2, 0
+                ),
+            )
+        )
+    return MarchResult(
+        segments=tuple(segments),
+        build_seconds=built.build_seconds,
+        sim_seconds=sim_seconds,
+    )
+
+
+def superpose(
+    item: SimulateItem, responses: ResponseEntry
+) -> Dict[Tuple[int, int], Tuple[float, float]]:
+    """Every column of ``item`` as a sum of its aggressors' responses.
+
+    Each column's waveform is built on its owner's own ``ceil(horizon /
+    dt) + 1`` samples: an aggressor launched at ``(m + f) * dt`` adds
+    ``vdd * ((1 - f) y[k - m] + f y[k - m - 1])`` of its unit-ramp
+    response ``y``.  When ``rise / dt`` is fractional that blend misses
+    one sample per launch (:func:`_ramp_knot`), which the unit-step
+    response supplies as an impulse response.  Returns ``(owner,
+    victim) -> (peak, area)`` over each victim's sensitive windows.
+    """
+    config = item.config
+    dt = config.dt
+    ratio = config.rise_time / dt
+    knot = _ramp_knot(ratio)
     metrics: Dict[Tuple[int, int], Tuple[float, float]] = {}
-    for column, count, launches in zip(item.columns, steps, offsets):
-        probe = ports[column.victim].far
+    for column in item.columns:
+        count = int(np.ceil(column.horizon / dt))
         v = np.zeros(count + 1)
-        for agg, whole, fraction in launches:
-            y = responses[agg][0].node_voltages[probe]
+        for agg, delay in column.launches:
+            whole, fraction = _grid_offset(delay, dt)
             span = count + 1 - whole
+            y = responses.response(agg, 0, column.victim, span)
             before = np.concatenate(([0.0], y[: span - 1]))
             v[whole:] += config.vdd * (
-                (1.0 - fraction) * y[:span] + fraction * before
+                (1.0 - fraction) * y + fraction * before
             )
             if knot is not None and whole + knot <= count:
-                z = responses[agg][1].node_voltages[probe]
+                z = responses.response(agg, 1, column.victim, span)
                 span -= knot
                 v[whole + knot:] += (
                     config.vdd
@@ -741,9 +1011,31 @@ def simulate_escalated(
         metrics[(column.owner, column.victim)] = _masked_metrics(
             waveform, column.sensitive
         )
+    return metrics
+
+
+def escalate(
+    parasitics: Parasitics,
+    item: SimulateItem,
+    policy: Optional[FallbackPolicy] = None,
+    cache: Optional[PipelineCache] = None,
+) -> EscalationTierResult:
+    """Tier 2 for one simulate item, against a throwaway entry.
+
+    Marches only the item's driven sources, probed at its victims
+    (:func:`plan_marches` without an entry), then superposes.  The
+    one-shot runners call this; the service keeps retained entries.
+    """
+    responses = ResponseEntry()
+    build_seconds = sim_seconds = 0.0
+    for march in plan_marches(item):
+        result = simulate_escalated(parasitics, march, policy, cache)
+        responses.add(result.segments)
+        build_seconds += result.build_seconds
+        sim_seconds += result.sim_seconds
     return EscalationTierResult(
-        metrics=metrics,
-        build_seconds=built.build_seconds,
+        metrics=superpose(item, responses),
+        build_seconds=build_seconds,
         sim_seconds=sim_seconds,
     )
 
@@ -893,7 +1185,7 @@ def run_noise_scan(
     if screened.report is not None:
         return screened.report
     tiers = [
-        simulate_escalated(parasitics, item, policy=policy, cache=cache)
+        escalate(parasitics, item, policy=policy, cache=cache)
         for item in plan_simulations([screened])
     ]
     [report] = assemble_plan([screened], tiers)

@@ -58,10 +58,11 @@ from repro.noise.engine import (
     ScreenedScenario,
     SimulateItem,
     assemble_plan,
+    escalate,
+    plan_marches,
     plan_simulations,
     scan_checksum,
     screen_scenario,
-    simulate_escalated,
 )
 from repro.pipeline.cache import PipelineCache, cached_extract
 from repro.pipeline.profiling import StageProfile, add_counter, collect, stage
@@ -427,7 +428,7 @@ def _simulate_item(
     """One simulate item, on parasitics loaded from its geometry."""
     with collect() as profile:
         parasitics = cached_extract(item.source.build(), cache=cache)
-        tier = simulate_escalated(parasitics, item, policy=policy, cache=cache)
+        tier = escalate(parasitics, item, policy=policy, cache=cache)
     return replace(tier, profile=profile)
 
 
@@ -481,7 +482,12 @@ def run_sweep(
             sum(len(item.columns) for item in items),
         )
         add_counter(
-            "noise_sweep_sim_calls", sum(len(item.chunks()) for item in items)
+            "noise_sweep_sim_calls",
+            sum(
+                len(march.chunks())
+                for item in items
+                for march in plan_marches(item)
+            ),
         )
         tiers = fan_out(
             functools.partial(_simulate_item, cache=cache, policy=policy),

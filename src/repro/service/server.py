@@ -10,29 +10,42 @@ engine over a worker executor:
 - **Shared-memory model cache**: the first job touching a geometry
   extracts it (in a worker) and publishes the parasitics into the
   :class:`~repro.service.shm.SharedParasiticsStore`; every later job
-  -- and every simulate item -- attaches zero-copy.  Extraction is
+  -- and every march item -- attaches zero-copy.  Extraction is
   single-flighted per geometry key, so a burst of identical requests
   costs one extraction.
 - **One noise plan for noise and sweep jobs**: both run the plan of
   :mod:`repro.noise.engine` -- a noise job is its one-scenario case.
   Each scenario is published to shared memory and screened as one work
   item, in order (one streamed ``screen`` progress event each); the
-  escalated victims then group by testbench circuit, each group split
-  into :meth:`ServiceConfig.shard_count` simulate items dispatched to
-  the pool together (one ``simulate`` event each).  Every victim's
-  waveform is superposed on its own scenario's horizon, so the merged
-  reports match the one-shot scan and ``repro noise sweep``.
+  escalated victims then group by testbench circuit.
+- **One march per circuit per service**: the unit-ramp responses a
+  circuit's victims are superposed from live in the server's
+  :class:`~repro.service.responses.ResponseStore`.  Only the responses
+  the store does not yet hold are marched, under per-circuit locks
+  taken in key order: every wire of a circuit new to the store, or
+  every stored column resumed out to the longest reach its clock
+  allows when a job needs a longer horizon, split by source
+  into :meth:`ServiceConfig.shard_count` march items dispatched to the
+  pool together (one ``simulate`` event each).  The results join the
+  store once every item has returned, and the job's victims are
+  superposed from it off the event loop, each on its own scenario's
+  horizon -- so the merged reports match the one-shot scan and ``repro
+  noise sweep``.
 - **Result memo**: finished results are memoized by request content
   key -- a repeated request is answered from memory with its original
   checksum.
 - **Cancellation and timeouts**: cancel flags are honored between
   work items (while queued, before every extract and screen item,
-  before the simulate items are dispatched, and as each one finishes
-  -- simulate items the pool has not started are then dropped); each
+  before the march items are dispatched, and as each one finishes
+  -- march items the pool has not started are then dropped); each
   job runs under ``asyncio.wait_for`` with a per-job or
   service-default timeout.  Worker failures surface through the
   :mod:`repro.health` taxonomy: the typed exception's class name is
-  reported in the job's ``error["kind"]``.
+  reported in the job's ``error["kind"]``.  A worker process that dies
+  fails the jobs whose items it broke with
+  :class:`~repro.health.errors.WorkerLostError`, and the pool is
+  replaced once per breakage (``stats``' ``respawns``); the response
+  store lives in the server, so it outlives the pool.
 
 :class:`ServiceServer` wraps the core in a JSON-lines TCP protocol
 (one request object per line, streamed event objects per line back),
@@ -45,15 +58,22 @@ import asyncio
 import json
 import time
 from collections import defaultdict
+from contextlib import AsyncExitStack
 from dataclasses import dataclass, field
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from typing import Any, AsyncIterator, Dict, List, Optional, Sequence, Tuple
 
 from repro.extraction.capacitance import CapacitanceModel
 from repro.extraction.constants import COPPER_RESISTIVITY
 from repro.experiments.runner import ModelSpec
-from repro.health.errors import NumericalHealthError
+from repro.health.errors import NumericalHealthError, WorkerLostError
 from repro.noise.engine import (
+    MarchResult,
     NoiseConfig,
     NoiseScanReport,
     ScreenedScenario,
@@ -75,6 +95,11 @@ from repro.service.jobs import (
     JobRecord,
     JobRequest,
 )
+from repro.service.responses import (
+    CircuitPlan,
+    ResponseStore,
+    superpose_plans,
+)
 from repro.service.shm import SharedParasiticsStore
 
 #: Protocol version reported by ``hello`` / ``stats``.
@@ -91,8 +116,8 @@ class ServiceConfig:
     #: work items on threads in-process (no pool start-up cost, the
     #: natural mode for tests and single-core machines).
     jobs: Optional[int] = None
-    #: Simulate items each circuit group of a noise or sweep job is
-    #: split into (default: the worker count).
+    #: March items each circuit's sources are split into, per noise or
+    #: sweep job (default: the worker count).
     shards: Optional[int] = None
     #: Disk cache root for extraction / model artifacts (``None``
     #: disables the disk tier; shared memory still caches parasitics).
@@ -121,6 +146,8 @@ class ServiceStats:
     cancelled: int = 0
     timeout: int = 0
     memo_hits: int = 0
+    #: Process pools replaced after a worker died.
+    respawns: int = 0
     started_at: float = field(default_factory=time.time)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -131,6 +158,7 @@ class ServiceStats:
             "cancelled": self.cancelled,
             "timeout": self.timeout,
             "memo_hits": self.memo_hits,
+            "respawns": self.respawns,
             "uptime_seconds": time.time() - self.started_at,
         }
 
@@ -148,6 +176,10 @@ class AnalysisService:
         self._tasks: Dict[str, "asyncio.Task[None]"] = {}
         self._memo: Dict[str, JobRecord] = {}
         self._extract_locks: Dict[str, asyncio.Lock] = defaultdict(
+            asyncio.Lock
+        )
+        self.responses = ResponseStore()
+        self._response_locks: Dict[str, asyncio.Lock] = defaultdict(
             asyncio.Lock
         )
         self._executor: Optional[Executor] = None
@@ -254,6 +286,8 @@ class AnalysisService:
                 "shm_bytes": self.shm.stats.payload_bytes,
                 "shm_hits": self.shm.stats.hits,
                 "shm_misses": self.shm.stats.misses,
+                "response_circuits": self.responses.circuits,
+                "response_bytes": self.responses.nbytes,
                 "jobs_tracked": len(self._records),
             }
         )
@@ -352,6 +386,32 @@ class AnalysisService:
                 return
             await self._finish(record, DONE, result=record.result)
 
+    async def _call(self, fn: Any, *args: Any) -> Any:
+        """Run one work item on the executor.
+
+        A worker killed under any item breaks a process pool for good:
+        every pending and later item fails with ``BrokenProcessPool``.
+        The first item to see a breakage replaces the pool, and each
+        failed item raises :class:`WorkerLostError` instead.
+        """
+        executor = self._executor
+        assert executor is not None
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                executor, fn, *args
+            )
+        except BrokenExecutor as error:
+            if executor is self._executor and not self._closed:
+                executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = None
+                await self.start()
+                self.stats.respawns += 1
+            raise WorkerLostError(
+                f"a worker process died under "
+                f"{getattr(fn, '__name__', fn)}; the pool was replaced",
+                context={"item": getattr(fn, "__name__", repr(fn))},
+            ) from error
+
     def _parasitics_key(self, geometry: Any) -> str:
         """The disk-cache key of this geometry's default extraction."""
         return parasitics_key(
@@ -366,8 +426,6 @@ class AnalysisService:
         self, record: JobRecord, geometry: Any
     ) -> Tuple[str, str]:
         """Publish a geometry's parasitics into shared memory (once)."""
-        assert self._executor is not None
-        loop = asyncio.get_running_loop()
         key = self._parasitics_key(geometry)
         segment = self.shm.segment_name(key)
         if segment is not None:
@@ -380,11 +438,8 @@ class AnalysisService:
             await self._emit(
                 record, {"event": "progress", "stage": "extract"}
             )
-            parasitics = await loop.run_in_executor(
-                self._executor,
-                _workers.extract_worker,
-                geometry,
-                self.config.cache_dir,
+            parasitics = await self._call(
+                _workers.extract_worker, geometry, self.config.cache_dir
             )
             segment = self.shm.put(key, parasitics)
             return key, segment
@@ -398,16 +453,15 @@ class AnalysisService:
         """Run the noise plan of ``(geometry, config, label)`` scenarios.
 
         Scenarios screen one work item at a time, in order, so the
-        progress stream is deterministic; the simulate items then run
-        concurrently on the pool.  A progress event precedes every
-        item, and the cancel flag is checked before every screen item,
-        before the simulate items are dispatched and as each one
-        finishes -- the pool then drops the ones it has not started.
-        Results are assembled (and stored in the disk cache) exactly as
-        the one-shot runners do.
+        progress stream is deterministic.  The job then locks the
+        circuits whose responses the store lacks, in key order, marches
+        them (:meth:`_march`) and commits the results; a job the store
+        already serves takes no lock.  Its victims are superposed off
+        the event loop.  The cancel flag is checked
+        before every screen item, before the march items are dispatched
+        and as each one finishes.  Results are assembled (and stored in
+        the disk cache) exactly as the one-shot runners do.
         """
-        assert self._executor is not None
-        loop = asyncio.get_running_loop()
         cache_dir = self.config.cache_dir
         labels = [label for _, _, label in scenarios]
         screened: List[ScreenedScenario] = []
@@ -425,55 +479,92 @@ class AnalysisService:
                 },
             )
             screened.append(
-                await loop.run_in_executor(
-                    self._executor,
-                    _workers.screen_worker,
-                    segment,
-                    spec,
-                    config,
-                    cache_dir,
+                await self._call(
+                    _workers.screen_worker, segment, spec, config, cache_dir
                 )
             )
         record.check_cancelled()
-        items = plan_simulations(screened, parts=self.config.shard_count())
+        items = plan_simulations(screened)
+        shards = self.config.shard_count()
+        plans = [self.responses.plan(item, shards) for item in items]
+        keys = sorted({plan.key for plan in plans if plan.marches})
+        async with AsyncExitStack() as stack:
+            for key in keys:
+                await stack.enter_async_context(self._response_locks[key])
+            # Another job may have marched these circuits meanwhile.
+            plans = [
+                self.responses.plan(plan.item, shards)
+                if plan.key in keys
+                else plan
+                for plan in plans
+            ]
+            results = await self._march(record, plans, labels)
+            # Circuits other jobs are extending right now.
+            held = {
+                key
+                for key, lock in self._response_locks.items()
+                if lock.locked() and key not in keys
+            }
+            self.responses.commit(plans, results, held=held)
+        # Entries only ever grow by whole segments past a reader's reach,
+        # so the superposition needs no lock.
+        tiers = await asyncio.to_thread(superpose_plans, plans, results)
+        reports = assemble_plan(
+            screened, tiers, cache=_workers._disk_cache(cache_dir)
+        )
+        return screened, reports
+
+    async def _march(
+        self,
+        record: JobRecord,
+        plans: Sequence[CircuitPlan],
+        labels: Sequence[str],
+    ) -> List[List[MarchResult]]:
+        """Dispatch every plan's march items together; results by plan.
+
+        One ``simulate`` progress event precedes each item.  As each
+        item finishes the cancel flag is checked; the pool then drops
+        the items it has not started.
+        """
+        marches = [
+            (i, march) for i, plan in enumerate(plans) for march in plan.marches
+        ]
+        results: List[List[MarchResult]] = [[] for _ in plans]
         futures: List["asyncio.Future[Any]"] = []
-        tiers = []
         try:
-            for index, item in enumerate(items):
-                owners = sorted({column.owner for column in item.columns})
+            for index, (i, march) in enumerate(marches):
+                owners = sorted({c.owner for c in plans[i].item.columns})
                 await self._emit(
                     record,
                     {
                         "event": "progress",
                         "stage": "simulate",
                         "index": index,
-                        "total": len(items),
-                        "columns": len(item.columns),
+                        "total": len(marches),
+                        "columns": len(march.sources),
                         "scenarios": [labels[owner] for owner in owners],
                     },
                 )
                 futures.append(
-                    loop.run_in_executor(
-                        self._executor,
-                        _workers.sim_shard_worker,
-                        item,
-                        cache_dir,
+                    asyncio.ensure_future(
+                        self._call(
+                            _workers.sim_shard_worker,
+                            march,
+                            self.config.cache_dir,
+                        )
                     )
                 )
-            for future in futures:
-                tiers.append(await future)
+            for (i, _), future in zip(marches, futures):
+                results[i].append(await future)
                 record.check_cancelled()
         finally:
             for future in futures:
+                if future.done() and not future.cancelled():
+                    future.exception()
                 future.cancel()
-        reports = assemble_plan(
-            screened, tiers, cache=_workers._disk_cache(cache_dir)
-        )
-        return screened, reports
+        return results
 
     async def _execute(self, record: JobRecord) -> Dict[str, Any]:
-        assert self._executor is not None
-        loop = asyncio.get_running_loop()
         request = record.request
         record.check_cancelled()
         if request.op == "sweep":
@@ -516,8 +607,7 @@ class AnalysisService:
             await self._emit(
                 record, {"event": "progress", "stage": "simulate"}
             )
-            return await loop.run_in_executor(
-                self._executor,
+            return await self._call(
                 _workers.simulate_worker,
                 segment,
                 request.model,
@@ -528,11 +618,8 @@ class AnalysisService:
         # A verified noise scan re-simulates victims one by one through
         # the independent path; it is a cross-check, not a serving
         # workload, so it runs as one unsharded work item.
-        return await loop.run_in_executor(
-            self._executor,
-            _workers.oneshot_worker,
-            request,
-            self.config.cache_dir,
+        return await self._call(
+            _workers.oneshot_worker, request, self.config.cache_dir
         )
 
 

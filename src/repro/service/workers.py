@@ -9,11 +9,14 @@ attach zero-copy views (:func:`repro.service.shm.attach_parasitics`).
 
 Noise and sweep jobs run the noise plan of :mod:`repro.noise.engine`:
 :func:`screen_worker` is one scenario's screen item and
-:func:`sim_shard_worker` one simulate item.  Every source response of
-a simulate item is an independent RHS of the shared factorization and
-every victim's waveform is built on its owner's horizon, so however
-the service splits the plan into items, the merged reports match the
-one-shot :func:`~repro.noise.engine.run_noise_scan` and
+:func:`sim_shard_worker` one march item, returning unit responses for
+the server's response store (:mod:`repro.service.responses`), where the
+victims are superposed.  Every response column is an independent RHS
+of the shared factorization, a resumed column continues its march bit
+for bit, and every victim's waveform is built on its owner's horizon,
+so however the service splits, stores and extends the marches, the
+merged reports match the one-shot
+:func:`~repro.noise.engine.run_noise_scan` and
 :func:`~repro.noise.sweep.run_sweep` -- the equivalence the service
 bench's checksums pin.
 
@@ -34,11 +37,11 @@ from repro.circuit.sources import step
 from repro.experiments.runner import ModelSpec, build_model
 from repro.extraction.parasitics import Parasitics
 from repro.noise.engine import (
-    EscalationTierResult,
+    MarchItem,
+    MarchResult,
     NoiseConfig,
     NoiseScanReport,
     ScreenedScenario,
-    SimulateItem,
     run_noise_scan,
     scan_checksum,
     screen_scenario,
@@ -88,12 +91,12 @@ def screen_worker(
 
 
 def sim_shard_worker(
-    item: SimulateItem, cache_dir: Optional[str]
-) -> EscalationTierResult:
-    """One simulate item, against its shared-memory parasitics."""
+    march: MarchItem, cache_dir: Optional[str]
+) -> MarchResult:
+    """One march item, against its shared-memory parasitics."""
     return simulate_escalated(
-        attach_parasitics(item.source),
-        item,
+        attach_parasitics(march.source),
+        march,
         cache=_disk_cache(cache_dir),
     )
 

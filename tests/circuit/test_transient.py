@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import dc, step
-from repro.circuit.transient import transient_analysis
+from repro.circuit.transient import transient_analysis, transient_analysis_multi
 
 
 def rc_circuit(r=1e3, c=1e-12, v=1.0):
@@ -144,3 +144,99 @@ class TestValidation:
         result = transient_analysis(rc_circuit(), 1e-9, 1e-12, probe_nodes=["out"])
         with pytest.raises(KeyError):
             result.voltage("in")
+
+
+def coupled_pair():
+    """Two driven RLC lines coupled by a capacitor and a mutual."""
+    circuit = Circuit()
+    for k in (1, 2):
+        circuit.add_voltage_source(f"s{k}", "0", dc(0.0), name=f"V{k}")
+        circuit.add_resistor(f"s{k}", f"a{k}", 50.0)
+        circuit.add_inductor(f"a{k}", f"b{k}", 2e-9, name=f"L{k}")
+        circuit.add_capacitor(f"b{k}", "0", 40e-15)
+    circuit.add_capacitor("b1", "b2", 25e-15)
+    circuit.add_mutual("L1", "L2", 0.4)
+    return circuit
+
+
+# Each scenario keeps switching after every resume point below.
+RESUME_SCENARIOS = [
+    {"V1": step(1.0, rise_time=7e-12, delay=3e-12)},
+    {"V2": step(1.0, rise_time=2.5e-12, delay=141.3e-12)},
+    {"V1": step(0.5, rise_time=1e-12, delay=222e-12)},
+]
+
+
+class TestResume:
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
+    def test_resumed_march_equals_the_uninterrupted_tail(self, method):
+        dt = 1e-12
+        kwargs = dict(
+            method=method,
+            probe_nodes=["b1", "b2", "a1"],
+            probe_branches=["L2"],
+        )
+        whole = transient_analysis_multi(
+            coupled_pair(), 400 * dt, dt, RESUME_SCENARIOS, **kwargs
+        )
+        # Resume twice; each reach comes from the samples a march
+        # returned, not from the t_stop it was given.
+        marched = transient_analysis_multi(
+            coupled_pair(), 97 * dt, dt, RESUME_SCENARIOS, **kwargs
+        )
+        start = 0
+        for t_stop in (230 * dt, 400 * dt):
+            start += len(marched[0].times) - 1
+            x0 = np.column_stack([r.state for r in marched])
+            marched = transient_analysis_multi(
+                coupled_pair(), t_stop, dt, RESUME_SCENARIOS,
+                x0=x0, start=start, **kwargs,
+            )
+            span = slice(start, start + len(marched[0].times))
+            for full, tail in zip(whole, marched):
+                assert np.array_equal(tail.times, full.times[span])
+                for node, values in tail.node_voltages.items():
+                    assert np.array_equal(values, full.node_voltages[node][span])
+                assert np.array_equal(
+                    tail.branch_currents["L2"], full.branch_currents["L2"][span]
+                )
+        assert span.stop == len(whole[0].times)
+        for full, tail in zip(whole, marched):
+            assert np.array_equal(tail.state, full.state)
+
+    def test_resume_validation(self):
+        dt = 1e-12
+        [first] = transient_analysis_multi(coupled_pair(), 10 * dt, dt, [{}])
+        with pytest.raises(ValueError, match="x0"):
+            transient_analysis_multi(coupled_pair(), 20 * dt, dt, [{}], start=10)
+        with pytest.raises(ValueError, match="start"):
+            transient_analysis_multi(
+                coupled_pair(), 20 * dt, dt, [{}], x0=first.state, start=20
+            )
+        with pytest.raises(ValueError, match="shape"):
+            transient_analysis_multi(
+                coupled_pair(), 20 * dt, dt, [{}, {}],
+                x0=np.zeros((first.state.size, 3)), start=10,
+            )
+
+
+class TestCompactSourceBlock:
+    def test_block_spans_the_source_rows_only(self):
+        from repro.circuit.mna import build_mna
+
+        system = build_mna(coupled_pair())
+        rows = system.source_rows()
+        assert list(rows) == sorted(
+            system.branch_row(name) for name in ("V1", "V2")
+        )
+        times = np.arange(50) * 1e-12
+        block = system.rhs_transient_batch_multi(times, RESUME_SCENARIOS)
+        assert block.shape == (50, 2, 3)
+        for n, t in enumerate(times):
+            full = system.rhs_transient(float(t))
+            assert not np.any(np.delete(full, rows))
+        scenario = system.rhs_transient_batch_multi(times, [{}])
+        for n, t in enumerate(times):
+            assert np.array_equal(
+                scenario[n, :, 0], system.rhs_transient(float(t))[rows]
+            )

@@ -120,6 +120,29 @@ class TestSparseChain:
         with pytest.raises(SingularMatrixError):
             factorize(g, policy=STRICT_POLICY).solve(rhs)
 
+    def test_attempt_log_is_bounded_by_the_chain(self):
+        """A march's thousands of solves on one factor are one entry;
+        the counters still count every solve."""
+        factor = factorize(sparse.identity(3, format="csc"), name="eye")
+        with collect() as profile:
+            for _ in range(1000):
+                factor.solve(np.ones(3))
+        assert len(factor.log.attempts) == 1
+        assert factor.log.attempts[0].count == 1000
+        assert factor.log.methods() == ["lu"]
+        assert profile.counters["solve_lu"] == 1000
+
+    def test_attempt_log_keeps_the_escalation_order(self):
+        g, rhs = self._floating_pair()
+        factor = factorize(g, name="floating pair")
+        for _ in range(5):
+            factor.solve(rhs)
+        methods = factor.log.methods()
+        assert methods[0] == "lu" and not factor.log.attempts[0].succeeded
+        assert len(methods) == len(factor.log.attempts) <= 8
+        assert factor.log.attempts[-1].succeeded
+        assert factor.log.attempts[-1].count >= 5
+
     def test_starved_iterative_raises_convergence_error(self):
         g, rhs = self._floating_pair()
         starved = FallbackPolicy(

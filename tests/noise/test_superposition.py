@@ -1,15 +1,18 @@
 """Differential suite: the escalation tier's superposition equals the march.
 
 :func:`~repro.noise.engine.simulate_escalated` marches one unit-ramp
-column per driven source and builds every victim's waveform as a sum of
-time-shifted responses.  The oracle below is the direct construction:
-one :func:`~repro.circuit.transient.transient_analysis_multi` column per
+column per driven source and :func:`~repro.noise.engine.superpose`
+builds every victim's waveform as a sum of time-shifted responses.  The
+oracle below is the direct construction: one
+:func:`~repro.circuit.transient.transient_analysis_multi` column per
 escalated victim, its aggressors driven by their own delayed
 ``step(vdd, rise, delay)`` sources, each waveform cut back to its
 owner's horizon.  Hypothesis draws bus widths, integer and fractional
 ``rise / dt``, on-grid and fractional launches, aggressor sets, the
-plan's ``parts`` and the window-solve backend; superposed peaks and areas must
-match the oracle to 1e-10 relative.
+plan's source shards and the window-solve backend; superposed peaks and
+areas must match the oracle to 1e-10 relative.  A complete response
+entry -- every wire marched and probed, as the service retains it --
+must give exactly the throwaway entry's metrics.
 
 A second check runs a real escalation item (the 16-bit bus of the
 service benchmark stream, schedule seed 2007) against a march whose LU
@@ -36,12 +39,16 @@ from repro.geometry.bus import aligned_bus
 from repro.noise.engine import (
     EscalatedColumn,
     NoiseConfig,
+    ResponseEntry,
     SimulateItem,
     _masked_metrics,
     attach_quiet_bus_testbench,
+    escalate,
+    plan_marches,
     plan_simulations,
     screen_scenario,
     simulate_escalated,
+    superpose,
 )
 from repro.noise.windows import Window, WindowSet
 from repro.pipeline.profiling import collect
@@ -128,12 +135,16 @@ def refined_metrics(parasitics, item):
     lhs_wide = lhs.astype(np.longdouble)
     lu = splu(lhs)
     rows = [system.node_row(ports[c.victim].far) for c in item.columns]
+    sources = system.source_rows()
     volt = np.zeros((len(item.columns), steps + 1))
     x = np.zeros((system.size, len(item.columns)), dtype=np.longdouble)
     # Until the first nonzero source sample the state is exactly zero.
     first = max(int(np.flatnonzero(np.abs(b).max(axis=(1, 2)))[0]), 1)
     for n in range(first, steps + 1):
-        rhs = history @ x + b[n - 1] + b[n]
+        # b holds the source rows only; every other row of b(t) is zero.
+        rhs = history @ x
+        rhs[sources] += b[n - 1]
+        rhs[sources] += b[n]
         x = lu.solve(rhs.astype(float)).astype(np.longdouble)
         for _ in range(2):
             residual = rhs - lhs_wide @ x
@@ -142,14 +153,17 @@ def refined_metrics(parasitics, item):
     return _cut_metrics(item, [Waveform(t=times, v=v) for v in volt])
 
 
-def superposed_metrics(parasitics, item, parts=1):
-    """``simulate_escalated`` over the item split into ``parts`` items
-    of contiguous columns, the way :func:`plan_simulations` shards."""
-    metrics = {}
-    for part in np.array_split(np.arange(len(item.columns)), parts):
-        shard = replace(item, columns=tuple(item.columns[i] for i in part))
-        metrics.update(simulate_escalated(parasitics, shard).metrics)
-    return metrics
+def superposed_metrics(parasitics, item, parts=1, complete=False):
+    """``simulate_escalated`` over the item's march items, split
+    ``parts`` ways by source the way the service shards them, then
+    ``superpose`` from one entry -- a throwaway one, or a complete one
+    over every wire of the bus."""
+    entry = ResponseEntry()
+    for march in plan_marches(
+        item, shards=parts, entry=entry if complete else None
+    ):
+        entry.add(simulate_escalated(parasitics, march).segments)
+    return superpose(item, entry)
 
 
 def _assert_close(ours, theirs, rtol):
@@ -220,6 +234,7 @@ def escalation_items(draw):
         spec=gw_spec(4, solver=solver),
         config=config,
         columns=tuple(columns),
+        wires=bits,
     )
     return bits, item
 
@@ -234,10 +249,24 @@ class TestSuperpositionEqualsPerVictimMarch:
         bits, item = drawn
         parasitics = _bus(bits)
         _assert_close(
-            superposed_metrics(parasitics, item, min(parts, len(item.columns))),
+            superposed_metrics(parasitics, item, parts),
             per_victim_metrics(parasitics, item),
             rtol=1e-10,
         )
+
+    @given(
+        drawn=escalation_items(),
+        parts=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_complete_entry_equals_throwaway_entry(self, drawn, parts):
+        """Every wire marched and probed, split by source: each response
+        column is independent of its batch, so the metrics are equal."""
+        bits, item = drawn
+        parasitics = _bus(bits)
+        assert superposed_metrics(
+            parasitics, item, parts, complete=True
+        ) == superposed_metrics(parasitics, item)
 
     def test_fractional_rise_needs_the_step_column(self):
         """With rise/dt = 5.5 the blend alone misses one sample per
@@ -282,12 +311,13 @@ class TestStreamScanAgainstRefinedMarch:
         from the earliest launch's grid point to the horizon."""
         parasitics, screened, item = scan
         assert len(item.columns) == 16
-        assert item.chunks() == [(2, 3, 8, 9, 10)]
+        [march] = plan_marches(item)
+        assert march.chunks() == [(2, 3, 8, 9, 10)]
         dt = screened.config.dt
         earliest = min(d for c in item.columns for _, d in c.launches)
         steps = int(np.ceil(screened.horizon / dt)) - int(earliest / dt)
         with collect() as profile:
-            simulate_escalated(parasitics, item)
+            escalate(parasitics, item)
         assert profile.counters["transient_steps"] == 5 * steps
 
     def test_march_and_superposition_within_1e8(self, scan):
@@ -304,7 +334,7 @@ class TestStreamScanAgainstRefinedMarch:
             per_victim_metrics(parasitics, item), reference, rtol=1e-8
         )
         _assert_close(
-            simulate_escalated(parasitics, item).metrics, reference, rtol=1e-8
+            escalate(parasitics, item).metrics, reference, rtol=1e-8
         )
 
 
