@@ -126,6 +126,27 @@ class _ClassColumns:
 Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def _trajectory(
+    stim: Stimulus,
+    times: np.ndarray,
+    memo: Dict[int, Tuple[Stimulus, np.ndarray]],
+) -> np.ndarray:
+    """``stim.at`` over ``times``, evaluated once per stimulus object.
+
+    The memo is keyed by identity (stimuli with equal fields may differ
+    in their ``transient``) and keeps each stimulus alive, so no key is
+    reused while it lives.
+    """
+    entry = memo.get(id(stim))
+    if entry is None:
+        if stim.transient is None:
+            values = np.full(len(times), stim.dc, dtype=float)
+        else:
+            values = np.array([stim.at(float(t)) for t in times], dtype=float)
+        entry = memo[id(stim)] = (stim, values)
+    return entry[1]
+
+
 def _assemble(chunks: List[Triplets], size: int) -> sparse.csc_matrix:
     """One COO build from all of a matrix's triplet chunks.
 
@@ -255,11 +276,17 @@ class MnaSystem:
         return cached
 
     def stimulus_matrix(self, times: np.ndarray) -> np.ndarray:
-        """``(num_sources, num_times)`` transient source values."""
-        return np.array(
-            [[stim.at(float(t)) for t in times] for stim in self.stimuli],
-            dtype=float,
-        ).reshape(len(self.stimuli), len(times))
+        """``(num_sources, num_times)`` transient source values.
+
+        Each distinct stimulus object is evaluated once, and a constant
+        one -- no ``transient`` -- fills its row with ``dc`` without a
+        call per sample; the values are exactly those of ``at``.
+        """
+        memo: Dict[int, Tuple[Stimulus, np.ndarray]] = {}
+        out = np.empty((len(self.stimuli), len(times)))
+        for row, stim in enumerate(self.stimuli):
+            out[row] = _trajectory(stim, times, memo)
+        return out
 
     # ------------------------------------------------------------------
     # Right-hand sides
@@ -288,14 +315,13 @@ class MnaSystem:
         is zero, so the block is as tall as the source count, not the
         system size.
 
-        Stimulus evaluation is a Python loop over ``num_sources x
-        num_times`` scalar calls -- by far the dominant per-scenario
-        cost when scenarios share most of their sources (a noise batch
-        overrides only each column's few aggressor drivers).  The base
-        trajectory is evaluated *once*; each scenario copies it and
-        re-evaluates only its overridden rows, which is bit-identical
-        to a full per-scenario evaluation because the same ``at`` calls
-        produce the replaced rows.
+        Every distinct stimulus object -- the circuit's own and every
+        scenario's overrides -- is evaluated once over ``times`` (an
+        escalation batch overrides each column's driver with the same
+        unit ramp); each scenario then copies the base trajectory and
+        replaces its overridden rows.  The values come from the same
+        ``at`` calls, so the block is bit-identical to a per-scenario
+        evaluation.
 
         The time axis leads so that ``out[n]`` -- the ``(rows,
         num_scenarios)`` slice the integrator reads every step -- is
@@ -305,6 +331,7 @@ class MnaSystem:
         """
         times = np.asarray(times, dtype=float)
         base = self.stimulus_matrix(times)
+        memo: Dict[int, Tuple[Stimulus, np.ndarray]] = {}
         # Row-slicing keeps each kept row's nonzeros in column order, so
         # every kept row sums exactly as in the full product.
         incidence = self.source_incidence()[self.source_rows()]
@@ -320,7 +347,7 @@ class MnaSystem:
                             f"{name!r} is not an independent source of "
                             "this circuit"
                         ) from None
-                    values[row] = [stim.at(float(t)) for t in times]
+                    values[row] = _trajectory(stim, times, memo)
                 out[:, :, k] = (incidence @ values).T
             else:
                 out[:, :, k] = (incidence @ base).T

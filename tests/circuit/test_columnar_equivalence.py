@@ -15,13 +15,19 @@ scenario column must equal a single-scenario run on a circuit rebuilt
 with that scenario's sources baked in -- the one-scenario case of the
 same engine -- and, as the independent oracle, the frozen seed loops of
 :mod:`repro.bench.reference` on that circuit: bit for bit for the
-transient march, to rounding for the AC sweep.
+transient march, to rounding for the AC sweep.  The escalation's own
+shape -- one unit-ramp column per wire of a gw8 bus testbench, fresh
+and resumed -- is held to the seed march the same way.
 """
+
+import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench import reference
 from repro.bench.reference import seed_ac_analysis, seed_transient_analysis
 from repro.circuit.ac import ac_analysis, ac_analysis_multi
 from repro.circuit.mna import build_mna
@@ -31,6 +37,10 @@ from repro.circuit.transient import (
     transient_analysis,
     transient_analysis_multi,
 )
+from repro.experiments.runner import build_model, gw_spec
+from repro.extraction.parasitics import extract
+from repro.geometry.bus import aligned_bus
+from repro.noise.engine import attach_quiet_bus_testbench
 
 _VALUES = st.floats(min_value=1.0, max_value=1e4)
 _GAINS = st.floats(min_value=-5.0, max_value=5.0)
@@ -259,6 +269,63 @@ def test_transient_multi_equals_looped_single(method):
             )
             assert np.array_equal(result.voltage(node).v, seed_volt[k])
         assert np.array_equal(result.current("L1").v, single.current("L1").v)
+
+
+@functools.lru_cache(maxsize=None)
+def _quiet_bus8():
+    """The gw8 quiet testbench of an 8-wire bus: every wire behind its
+    own ``Vdrv{wire}`` source holding 0 V, as the escalation marches it."""
+    built = build_model(gw_spec(8), extract(aligned_bus(8)))
+    attach_quiet_bus_testbench(built.skeleton)
+    return built
+
+
+@pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
+def test_escalation_march_equals_the_seed_march(method, monkeypatch):
+    """The escalation's own shape: one unit-ramp column per wire of the
+    gw8 testbench in one batched march, fresh and resumed, against the
+    frozen seed march on the circuit rebuilt with that ramp baked in.
+
+    The seed assembler sums two of this circuit's duplicate ``G``
+    diagonal entries in another order (one ulp apart), so the seed march
+    runs on the columnar assembly here: the oracle is the per-step
+    ``rhs_transient`` rebuild, the one-vector product and solve, and the
+    scalar probe gather.
+    """
+    built = _quiet_bus8()
+    circuit = built.circuit
+    ports = built.skeleton.ports
+    wires = sorted(ports)
+    probes = [ports[wire].far for wire in wires] + ["0"]
+    ramp = step(1.0, rise_time=10e-12)
+    scenarios = [{f"Vdrv{wire}": ramp} for wire in wires]
+    dt, t_stop = 1e-12, 240e-12
+    fresh = transient_analysis_multi(
+        circuit, t_stop, dt, scenarios, method=method, probe_nodes=probes
+    )
+    head = transient_analysis_multi(
+        circuit, 97e-12, dt, scenarios, method=method, probe_nodes=probes
+    )
+    start = len(head[0].times) - 1
+    resumed = transient_analysis_multi(
+        circuit, t_stop, dt, scenarios, method=method, probe_nodes=probes,
+        x0=np.column_stack([result.state for result in head]), start=start,
+    )
+    monkeypatch.setattr(reference, "seed_build_mna", build_mna)
+    for wire, whole, tail in zip(wires, fresh, resumed):
+        rebuilt = Circuit(f"ramp on wire {wire}")
+        for element in circuit:
+            if element.name == f"Vdrv{wire}":
+                element = replace(element, stimulus=ramp)
+            rebuilt.add(element)
+        _, seed_volt = seed_transient_analysis(
+            rebuilt, t_stop, dt, probes, method=method
+        )
+        assert np.any(seed_volt[wire])
+        for k, node in enumerate(probes):
+            assert np.array_equal(whole.node_voltages[node], seed_volt[k])
+            assert np.array_equal(tail.node_voltages[node], seed_volt[k][start:])
+        assert not np.any(whole.node_voltages["0"])
 
 
 def test_ac_multi_equals_looped_single():

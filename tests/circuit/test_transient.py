@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.sources import dc, step
+from repro.circuit.sources import Stimulus, dc, step
 from repro.circuit.transient import transient_analysis, transient_analysis_multi
+from repro.health import NonFiniteInputError
 
 
 def rc_circuit(r=1e3, c=1e-12, v=1.0):
@@ -144,6 +145,21 @@ class TestValidation:
         result = transient_analysis(rc_circuit(), 1e-9, 1e-12, probe_nodes=["out"])
         with pytest.raises(KeyError):
             result.voltage("in")
+
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
+    def test_stimulus_turning_nan_mid_march_is_typed(self, method):
+        """The right-hand side is checked at every step, not only on
+        the factor's first, residual-verified solves."""
+        dt = 1e-12
+        failing = Stimulus(
+            transient=lambda t: float("nan") if t > 73.5 * dt else 1.0
+        )
+        scenarios = [{}, {"V2": failing}, {"V1": step(1.0, rise_time=5e-12)}]
+        with pytest.raises(NonFiniteInputError, match="right-hand side"):
+            transient_analysis_multi(
+                coupled_pair(), 200 * dt, dt, scenarios, method=method,
+                probe_nodes=["b1"],
+            )
 
 
 def coupled_pair():

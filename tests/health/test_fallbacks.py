@@ -169,6 +169,53 @@ class TestSparseChain:
                 np.array([1.0, np.nan])
             )
 
+    _PIVOT = 1e-200
+
+    def _proven_factor(self):
+        """A factor past its residual-verified solves: 999 solves of a
+        march-shaped block on a matrix whose tiny pivot turns a large
+        finite right-hand side into an overflowing solution."""
+        factor = factorize(
+            sparse.diags([self._PIVOT, 1.0, 2.0], format="csc"),
+            name="tiny pivot",
+        )
+        rhs = np.ones((3, 4))
+        rhs[0] = self._PIVOT
+        for _ in range(999):
+            np.testing.assert_allclose(factor.solve(rhs)[0], 1.0)
+        assert factor.log.methods() == ["lu"]
+        return factor
+
+    def test_nan_rhs_is_typed_in_the_steady_state(self):
+        factor = self._proven_factor()
+        rhs = np.ones((3, 4))
+        rhs[2, 3] = np.nan
+        with pytest.raises(NonFiniteInputError, match="1 non-finite"):
+            factor.solve(rhs)
+        rhs[2, 3] = -np.inf
+        rhs[0, 0] = np.inf
+        with pytest.raises(NonFiniteInputError, match="2 non-finite"):
+            factor.solve(rhs)
+        assert factor.log.methods() == ["lu"]
+        assert factor.log.attempts[0].count == 999
+
+    def test_overflowing_solution_escalates_in_the_steady_state(self):
+        factor = self._proven_factor()
+        rhs = np.ones((3, 4))
+        rhs[0] = 1e120  # / 1e-200 overflows; / the first ridge does not
+        with collect() as profile:
+            x = factor.solve(rhs)
+        assert np.all(np.isfinite(x))
+        assert factor.method == "tikhonov"
+        assert factor.log.methods() == ["lu", "lu", "tikhonov"]
+        proven, failed, rescued = factor.log.attempts
+        assert proven.succeeded and proven.count == 999
+        assert not failed.succeeded
+        assert rescued.succeeded and rescued.count == 1
+        assert profile.counters["solve_lu"] == 1
+        assert profile.counters["solve_tikhonov"] == 1
+        assert profile.counters["solve_fallbacks"] == 1
+
 
 # ----------------------------------------------------------------------
 # End to end: faulted parasitics through the model builders

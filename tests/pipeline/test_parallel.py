@@ -1,9 +1,12 @@
 """``parallel_map``: ordering, chunking, and the serial threshold."""
 
 import os
+import signal
+import time
 
 import pytest
 
+from repro.health import WorkerLostError
 from repro.pipeline.parallel import (
     DEFAULT_SERIAL_THRESHOLD,
     default_jobs,
@@ -14,6 +17,13 @@ from repro.pipeline.parallel import (
 def _identify(item):
     """Module-level (hence picklable) probe: value plus worker pid."""
     return item, os.getpid()
+
+
+def _die_on_three(item):
+    """A worker that is killed under item 3 (as by the OOM killer)."""
+    if item == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
 
 
 class TestParallelMap:
@@ -57,3 +67,12 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="chunksize"):
             parallel_map(abs, [1], chunksize=0)
         assert default_jobs() >= 1
+
+    def test_dead_worker_raises_worker_lost(self):
+        begin = time.monotonic()
+        with pytest.raises(WorkerLostError, match="_die_on_three") as caught:
+            parallel_map(_die_on_three, range(6), jobs=2, serial_threshold=0)
+        assert time.monotonic() - begin < 60.0
+        assert caught.value.context["item"] == "_die_on_three"
+        # The broken pool was that call's own: the next call succeeds.
+        assert parallel_map(abs, [-1, -2], jobs=2, serial_threshold=0) == [1, 2]

@@ -363,24 +363,30 @@ class TestRecordEquivalence:
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=0, max_value=6),
         st.integers(min_value=1, max_value=3),
+        st.booleans(),
         st.integers(min_value=0, max_value=99),
     )
     @settings(max_examples=50, deadline=None)
-    def test_matches_scalar_loop(self, nodes, branches, scenarios, seed):
+    def test_matches_scalar_loop(self, nodes, branches, scenarios, fortran, seed):
+        """One gather per step into the time-leading record.  Ground
+        probes (row -1) are left for the march to zero, so only the
+        probed rows are compared."""
         rng = np.random.default_rng(seed)
         size = nodes + branches + 1
-        x = rng.normal(size=(size, scenarios))
+        states = rng.normal(size=(3, size, scenarios))
         node_rows = rng.integers(-1, size, size=nodes)
         branch_rows = rng.integers(0, size, size=branches)
-        volt = np.zeros((scenarios, nodes, 3))
-        curr = np.zeros((scenarios, branches, 3))
-        _record_block(volt, curr, 1, x, node_rows, branch_rows)
-        expected_volt = np.zeros((scenarios, nodes, 3))
-        expected_curr = np.zeros((scenarios, branches, 3))
-        for k in range(scenarios):
-            for pos, row in enumerate(node_rows):
-                expected_volt[k, pos, 1] = x[row, k] if row >= 0 else 0.0
-            for pos, row in enumerate(branch_rows):
-                expected_curr[k, pos, 1] = x[row, k]
-        np.testing.assert_array_equal(volt, expected_volt)
-        np.testing.assert_array_equal(curr, expected_curr)
+        probe_rows = np.concatenate([node_rows, branch_rows])
+        record = np.zeros((3, nodes + branches, scenarios))
+        for step, x in enumerate(states):
+            # SuperLU returns Fortran-ordered blocks.
+            x = np.asfortranarray(x) if fortran else x
+            _record_block(record, step, x, probe_rows)
+        expected = np.zeros_like(record)
+        for step, x in enumerate(states):
+            for k in range(scenarios):
+                for pos, row in enumerate(probe_rows):
+                    if row >= 0:
+                        expected[step, pos, k] = x[row, k]
+        probed = probe_rows >= 0
+        np.testing.assert_array_equal(record[:, probed], expected[:, probed])
