@@ -19,6 +19,11 @@ every other benchmark table.
 
 from __future__ import annotations
 
+import time
+
+import numpy as np
+import pytest
+
 from repro.analysis.tables import format_table
 from repro.bench.extraction_scale import (
     _noise_scan,
@@ -26,6 +31,8 @@ from repro.bench.extraction_scale import (
     _window_solve,
     scale_geometry,
 )
+from repro.extraction.hierarchical import _PairEvaluator, hierarchical_blocks
+from repro.extraction.inductance import axis_geometry, clear_gmd_cache
 from repro.extraction.parasitics import extract
 
 #: ~20k filaments: 576 wires x 36 segments (seg = sqrt(n/16)).
@@ -85,3 +92,80 @@ def test_hierarchical_20k_end_to_end(report):
             ],
         ),
     )
+
+
+#: Ceiling of a serial 4 096-filament ``hierarchical_blocks`` build over
+#: a bare loop through the same 852 kernel requests, best of 5 each,
+#: interleaved (2-CPU Xeon, one BLAS thread, a busy shared host).  The
+#: build adds the tree, the plan, the ACA's arithmetic between kernel
+#: calls and the compaction.  Batched ACA arithmetic read 1.19-1.53
+#: (7 runs), the per-block ACA steps before it 2.02-2.17 (4 runs), so
+#: the ceiling fails a return of per-block Python between kernel calls.
+ACA_GLUE_RATIO = 1.8
+
+
+def _kernel_requests(system):
+    """The evaluator of a serial build of ``system`` (one axis group)
+    and every kernel request it made, in order: the dense plan rows,
+    each ACA round's pivot rows and columns, and any dense fallbacks."""
+    requests = []
+    real = _PairEvaluator.entries
+
+    def record(self, i, j):
+        requests.append((np.array(i), np.array(j)))
+        return real(self, i, j)
+
+    clear_gmd_cache()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_PairEvaluator, "entries", record)
+        ((axis, (indices, operator)),) = hierarchical_blocks(system).items()
+    lengths, widths, thicknesses, starts, centers = axis_geometry(
+        system, indices, axis
+    )
+    perm = operator.perm
+    evaluator = _PairEvaluator(
+        lengths[perm], widths[perm], thicknesses[perm], starts[perm],
+        centers[perm], perm, True,
+    )
+    return evaluator, requests
+
+
+def test_aca_glue_costs_little_beside_the_kernel(report):
+    """The build's own work beside its kernel evaluations.  Both sides
+    start from a cleared GMD memo and meet the same keys in the same
+    order; the two loops alternate, so a busy stretch of the host slows
+    both."""
+    system = scale_geometry(4096)
+    evaluator, requests = _kernel_requests(system)
+
+    def build():
+        clear_gmd_cache()
+        hierarchical_blocks(system)
+
+    def bare():
+        clear_gmd_cache()
+        for i, j in requests:
+            evaluator.entries(i, j)
+
+    best = {build: float("inf"), bare: float("inf")}
+    for _ in range(5):
+        for run in best:
+            start = time.perf_counter()
+            run()
+            best[run] = min(best[run], time.perf_counter() - start)
+    ratio = best[build] / best[bare]
+    report(
+        "extraction_scale_aca_glue",
+        format_table(
+            ["metric", "value"],
+            [
+                ["filaments", len(system)],
+                ["kernel requests", len(requests)],
+                ["kernel entries", sum(i.size for i, _ in requests)],
+                ["build, best of 5 (s)", f"{best[build]:.3f}"],
+                ["bare kernel loop, best of 5 (s)", f"{best[bare]:.3f}"],
+                ["build / bare", f"{ratio:.2f}"],
+            ],
+        ),
+    )
+    assert ratio <= ACA_GLUE_RATIO

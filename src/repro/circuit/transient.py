@@ -276,6 +276,7 @@ def _march(
             method=method,
             dt=dt,
             state=state[:, k].copy(),
+            record=record,
         )
         for k in range(count)
     ]

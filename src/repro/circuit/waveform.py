@@ -58,6 +58,10 @@ class TransientResult:
     #: The full solution vector at the last sample: the ``x0`` a march
     #: resumed from there starts with.
     state: Optional[np.ndarray] = None
+    #: The march's time-leading probe record ``(samples, probes,
+    #: scenarios)`` that these waveforms view, probed nodes first, then
+    #: branches; every result of one march shares it.
+    record: Optional[np.ndarray] = field(default=None, repr=False)
 
     def voltage(self, node: str) -> Waveform:
         """Waveform of a probed node voltage."""

@@ -18,6 +18,7 @@ Coupling is only generated for pairs the geometry layer marks *adjacent*
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -103,21 +104,30 @@ def extract_capacitances(
             for f in system
         ]
     )
+    # Per-filament geometry read once: axial span, and the two center
+    # coordinates across the filament's axis (in axis order, as
+    # ``Filament.lateral_distance_to`` takes them).
+    spans = [f.axial_span for f in system]
+    across = [
+        tuple(c for k, c in enumerate(f.center) if k != f.axis.value)
+        for f in system
+    ]
+    widths = [f.width for f in system]
+    thicknesses = [f.thickness for f in system]
     coupling: Dict[Tuple[int, int], float] = {}
     for i, j in system.adjacent_pairs():
-        f_i, f_j = system[i], system[j]
-        overlap = min(f_i.axial_span[1], f_j.axial_span[1]) - max(
-            f_i.axial_span[0], f_j.axial_span[0]
-        )
+        (lo_i, hi_i), (lo_j, hi_j) = spans[i], spans[j]
+        overlap = min(hi_i, hi_j) - max(lo_i, lo_j)
         if overlap <= 0:
             continue
-        gap = f_i.lateral_distance_to(f_j) - (f_i.width + f_j.width) / 2.0
+        (p_i, q_i), (p_j, q_j) = across[i], across[j]
+        gap = math.hypot(p_j - p_i, q_j - q_i) - (widths[i] + widths[j]) / 2.0
         if gap <= 0:
             continue
         per_length = model.coupling_capacitance_per_length(
-            thickness=min(f_i.thickness, f_j.thickness),
+            thickness=min(thicknesses[i], thicknesses[j]),
             spacing=gap,
-            width=min(f_i.width, f_j.width),
+            width=min(widths[i], widths[j]),
         )
         coupling[(i, j)] = per_length * overlap
     # Inter-layer crossings (orthogonal wires): parallel-plate coupling

@@ -233,17 +233,14 @@ class _PairEvaluator:
         """Dense ``(len(rows), len(cols))`` block (tree coordinates)."""
         ii = np.repeat(np.asarray(rows, dtype=np.intp), len(cols))
         jj = np.tile(np.asarray(cols, dtype=np.intp), len(rows))
-        add_counter("hier_kernel_entries", ii.size)
-        return self.entries(ii, jj).reshape(len(rows), len(cols))
+        return self.batch_entries(ii, jj).reshape(len(rows), len(cols))
 
-    def split_entries(
-        self, i: np.ndarray, j: np.ndarray, sizes: Sequence[int]
-    ) -> List[np.ndarray]:
-        """One :meth:`entries` call over concatenated requests, split back
-        into consecutive pieces of ``sizes`` entries."""
+    def batch_entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """One :meth:`entries` call that counts its kernel entries: a
+        dense block, or the pivot rows or columns of an ACA round."""
         values = self.entries(i, j)
         add_counter("hier_kernel_entries", values.size)
-        return np.split(values, np.cumsum(sizes)[:-1])
+        return values
 
 
 # ----------------------------------------------------------------------
@@ -336,162 +333,316 @@ def _box_diameter(min_box: np.ndarray, max_box: np.ndarray) -> float:
 #: each live block's pivot row through one kernel call and each pivot
 #: column through one more, so kernel calls scale with a group's rounds
 #: (its largest rank), not with the sum of its blocks' ranks.  The bound
-#: caps the factors held in flight: a block's factors stay in Python
-#: lists only until it finishes.
+#: caps the factors held in flight: a block's factors stay in its shape
+#: class only until it finishes.
 _ACA_GROUP = 64
 
+#: Factor rows per storage chunk of an :class:`_AcaClass`: a new factor
+#: never copies the old ones, and dropping finished blocks copies one
+#: chunk at a time, so a class's storage outgrows its factors by less
+#: than one chunk.
+_ACA_CHUNK = 8
 
-class _AcaBlock:
-    """Partially pivoted ACA of one admissible block, one step at a time.
 
-    Builds ``U (m, k)`` and ``V (k, n)`` with an estimated relative
-    Frobenius error ``||A - U V||_F <= tol ||A||_F``.  Each step is
-    split at its two kernel evaluations -- :meth:`take_row` consumes the
-    pivot row, :meth:`take_col` the pivot column -- so a group of blocks
-    can share them (:func:`_aca_group`).  All arithmetic in between
-    touches only this block's state, so the factors do not depend on
-    the group a block ran in.  :meth:`rank` is ``0`` when the block
-    refused to converge within ``max_rank`` or the factors would not be
-    smaller than the dense block -- the caller then stores the exact
-    dense block, so the tolerance only ever bounds the error of blocks
-    that did compress.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products ``a[..., :] @ b[..., :]``.
+
+    ``matmul`` of a ``(1, n)`` by an ``(n, 1)`` item calls BLAS ``ddot``,
+    as ``a[k] @ b[k]`` does on one pair of vectors, so every product is
+    the bits a per-block loop computes (``einsum`` sums in another
+    order).
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+class _AcaClass:
+    """Partially pivoted ACA of the blocks of one shape ``(m, n, cap)``
+    that hold the same number of factors, stepped together.
+
+    Builds ``U (k, m)`` and ``V (k, n)`` factor rows per block with an
+    estimated relative Frobenius error ``||A - U^T V||_F <= tol
+    ||A||_F``, doing per step the arithmetic of the single-block loop
+    over arrays that hold every block of the class: the residual and
+    column updates subtract the factors one at a time, left to right;
+    the dots are BLAS ``ddot`` per row (:func:`_dots`); the cross term
+    of the Frobenius estimate is summed left to right from ``0.0``.
+    The factors therefore do not depend on the group or class a block
+    ran in.  Factor rows live in chunks of :data:`_ACA_CHUNK` rows.
+
+    A block whose pivot row is exactly zero gains no factor in that
+    step, so it leaves for a class of its own (:meth:`split`): within a
+    class every block always holds ``k`` factors.
     """
 
     __slots__ = (
         "index",
-        "rows",
-        "cols",
-        "max_rank",
+        "row_lo",
+        "col_lo",
+        "m",
+        "n",
+        "cap",
         "us",
         "vs",
+        "k",
         "used",
         "pivot_row",
         "pivot_col",
-        "v",
         "frob2",
-        "steps",
-        "converged",
-        "done",
     )
 
     def __init__(
-        self, index: int, rows: np.ndarray, cols: np.ndarray, max_rank: int
+        self,
+        index: np.ndarray,
+        row_lo: np.ndarray,
+        col_lo: np.ndarray,
+        m: int,
+        n: int,
+        cap: int,
     ) -> None:
         self.index = index
-        self.rows = rows
-        self.cols = cols
-        self.max_rank = max_rank
+        self.row_lo = row_lo
+        self.col_lo = col_lo
+        self.m = m
+        self.n = n
+        self.cap = cap
         self.us: List[np.ndarray] = []
         self.vs: List[np.ndarray] = []
-        self.used = np.zeros(rows.size, dtype=bool)
-        self.pivot_row = 0
-        self.pivot_col = 0
-        self.v = np.empty(0)
-        self.frob2 = 0.0
-        self.steps = 0
-        self.converged = False
-        self.done = False
+        self.k = 0
+        self.used = np.zeros((index.size, m), dtype=bool)
+        self.pivot_row = np.zeros(index.size, dtype=np.intp)
+        self.pivot_col = np.zeros(index.size, dtype=np.intp)
+        self.frob2 = np.zeros(index.size)
 
-    def next_row(self) -> int:
-        """Start a step: the tree slot of the row it evaluates."""
-        self.steps += 1
-        return int(self.rows[self.pivot_row])
+    #: Attributes that hold one entry per block.
+    _PER_BLOCK = (
+        "index", "row_lo", "col_lo", "used", "pivot_row", "pivot_col", "frob2"
+    )
 
-    def take_row(self, residual: np.ndarray) -> bool:
-        """Consume the pivot row; True when the step needs its column."""
-        pivot_row = self.pivot_row
-        for u, v in zip(self.us, self.vs):
-            residual = residual - u[pivot_row] * v
-        self.used[pivot_row] = True
-        pivot_col = int(np.argmax(np.abs(residual)))
-        pivot = residual[pivot_col]
-        if pivot == 0.0:
-            remaining = np.flatnonzero(~self.used)
-            if remaining.size == 0:
-                self.converged = True
-                self.done = True
-                return False
-            self.pivot_row = int(remaining[0])
-            self._end_step()
-            return False
-        self.v = residual / pivot
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the blocks outside ``mask``, one chunk at a time."""
+        for name in self._PER_BLOCK:
+            setattr(self, name, getattr(self, name)[mask])
+        for chunks in (self.us, self.vs):
+            for c, chunk in enumerate(chunks):
+                chunks[c] = chunk[mask]
+
+    def split(self, mask: np.ndarray) -> "_AcaClass":
+        """Move the blocks of ``mask`` to a new class; keep the rest."""
+        part = object.__new__(_AcaClass)
+        part.m, part.n, part.cap, part.k = self.m, self.n, self.cap, self.k
+        for name in self._PER_BLOCK:
+            setattr(part, name, getattr(self, name)[mask])
+        part.us = [chunk[mask] for chunk in self.us]
+        part.vs = [chunk[mask] for chunk in self.vs]
+        self.keep(~mask)
+        return part
+
+    def factors(self, block: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(k, m)`` and ``(k, n)`` factor rows of one block."""
+        u = np.concatenate([chunk[block] for chunk in self.us])
+        v = np.concatenate([chunk[block] for chunk in self.vs])
+        return u[: self.k], v[: self.k]
+
+    def _rows(self, chunks: List[np.ndarray]) -> Iterator[Tuple[np.ndarray, int]]:
+        """The filled part of each chunk: ``(chunk, rows)``."""
+        for c, chunk in enumerate(chunks):
+            rows = min(_ACA_CHUNK, self.k - c * _ACA_CHUNK)
+            if rows > 0:
+                yield chunk, rows
+
+    def _subtract(
+        self,
+        x: np.ndarray,
+        coefficients: List[np.ndarray],
+        at: np.ndarray,
+        rows: List[np.ndarray],
+    ) -> None:
+        """``x - c_0 b_0 - c_1 b_1 - ...`` in place, left to right, with
+        ``c_t = coefficients[t][at]`` and ``b_t = rows[t]`` per block."""
+        blocks = np.arange(x.shape[0])
+        for (coef, count), (row, _) in zip(self._rows(coefficients), self._rows(rows)):
+            picked = coef[blocks, :count, at]
+            for t in range(count):
+                x -= picked[:, t, None] * row[:, t]
+
+    def _slot(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Views of the factor row ``k``, adding a chunk when it is full."""
+        c, r = divmod(self.k, _ACA_CHUNK)
+        if c == len(self.us):
+            self.us.append(np.empty((self.index.size, _ACA_CHUNK, self.m)))
+            self.vs.append(np.empty((self.index.size, _ACA_CHUNK, self.n)))
+        return self.us[c][:, r], self.vs[c][:, r]
+
+    def take_rows(
+        self, x: np.ndarray, step: int
+    ) -> Tuple[Optional["_AcaClass"], List["_Finished"]]:
+        """Consume the pivot rows ``x (blocks, n)`` of round ``step``.
+
+        Blocks with a nonzero pivot stay, their scaled residual rows in
+        factor slot ``k``; they need their pivot columns.  Returns the
+        class of the blocks whose residual row was exactly zero (each
+        re-picked to its first unused row; ``None`` when there are none)
+        and the blocks that finished.
+        """
+        self._subtract(x, self.us, self.pivot_row, self.vs)
+        blocks = np.arange(x.shape[0])
+        self.used[blocks, self.pivot_row] = True
+        pivot_col = np.argmax(np.abs(x), axis=1)
+        pivot = x[blocks, pivot_col]
+        zero = pivot == 0.0
+        finished: List[_Finished] = []
+        stalled = None
+        if zero.any():
+            stalled = self.split(zero)
+            x, pivot_col, pivot = x[~zero], pivot_col[~zero], pivot[~zero]
+            done = np.zeros(stalled.index.size, dtype=bool)
+            for b in range(done.size):
+                remaining = np.flatnonzero(~stalled.used[b])
+                if remaining.size == 0:
+                    # Every row used and the residual zero: converged.
+                    finished.append(stalled._finish(b, True))
+                    done[b] = True
+                    continue
+                stalled.pivot_row[b] = remaining[0]
+                if step >= self.cap + self.m:
+                    finished.append(stalled._finish(b, False))
+                    done[b] = True
+            stalled.keep(~done)
         self.pivot_col = pivot_col
-        return True
+        if self.index.size:
+            np.divide(x, pivot[:, None], out=self._slot()[1])
+        return stalled, finished
 
-    def take_col(self, u: np.ndarray, tol: float) -> None:
-        """Consume the pivot column and finish the step."""
-        pivot_col = self.pivot_col
-        v = self.v
-        for uu, vv in zip(self.us, self.vs):
-            u = u - vv[pivot_col] * uu
-        norm_u2 = float(u @ u)
-        norm_v2 = float(v @ v)
-        cross = 0.0
-        for uu, vv in zip(self.us, self.vs):
-            cross += float(u @ uu) * float(v @ vv)
-        self.frob2 = max(
-            self.frob2 + norm_u2 * norm_v2 + 2.0 * cross, norm_u2 * norm_v2
-        )
-        self.us.append(u)
-        self.vs.append(v)
-        if norm_u2 * norm_v2 <= tol * tol * self.frob2:
-            self.converged = True
-            self.done = True
-            return
-        if len(self.us) >= self.max_rank:
-            self.done = True
-            return
-        candidates = np.abs(u)
+    def take_cols(self, u: np.ndarray, step: int, tol: float) -> List["_Finished"]:
+        """Consume the pivot columns ``u (blocks, m)`` and finish the
+        step; returns the blocks that finished."""
+        self._subtract(u, self.vs, self.pivot_col, self.us)
+        u_new, v_new = self._slot()
+        u_new[...] = u
+        norm_u2 = _dots(u_new, u_new)
+        norm_v2 = _dots(v_new, v_new)
+        # The cross terms (u . u_t)(v . v_t), summed left to right from
+        # 0.0 down the leading axis: ``accumulate`` never reorders a sum
+        # (a reduction along a contiguous axis sums pairwise).
+        terms = np.zeros((self.k + 1, self.index.size))
+        row = 1
+        for (u_rows, count), (v_rows, _) in zip(
+            self._rows(self.us), self._rows(self.vs)
+        ):
+            terms[row:row + count] = (
+                _dots(u_rows[:, :count], u_new[:, None])
+                * _dots(v_rows[:, :count], v_new[:, None])
+            ).T
+            row += count
+        cross = np.add.accumulate(terms, axis=0)[-1]
+        prod = norm_u2 * norm_v2
+        estimate = self.frob2 + prod + 2.0 * cross
+        # Python's max(estimate, prod).
+        self.frob2 = np.where(prod > estimate, prod, estimate)
+        self.k += 1
+        converged = prod <= tol * tol * self.frob2
+        done = converged | (self.k >= self.cap) | (step >= self.cap + self.m)
+        candidates = np.abs(u_new)
         candidates[self.used] = -1.0
-        self.pivot_row = int(np.argmax(candidates))
-        self._end_step()
+        self.pivot_row = np.argmax(candidates, axis=1)
+        finished = [self._finish(b, bool(converged[b])) for b in np.flatnonzero(done)]
+        if finished:
+            self.keep(~done)
+        return finished
 
-    def _end_step(self) -> None:
-        self.done = self.steps >= self.max_rank + self.rows.size
+    def _finish(self, block: int, converged: bool) -> "_Finished":
+        """``(plan row, factor rows)`` of a finished block; the factors
+        are ``None`` when it refused to converge within ``cap`` or they
+        would not be smaller than the dense block."""
+        stored = converged and 0 < self.k * (self.m + self.n) < self.m * self.n
+        return int(self.index[block]), self.factors(block) if stored else None
 
-    def rank(self) -> int:
-        if not self.converged or not self.us:
-            return 0
-        rank = len(self.us)
-        m, n = self.rows.size, self.cols.size
-        return 0 if rank * (m + n) >= m * n else rank
+
+#: A finished block: its plan row and its ``(k, m)``/``(k, n)`` factor
+#: rows, ``None`` for a block stored dense.
+_Finished = Tuple[int, Optional[Tuple[np.ndarray, np.ndarray]]]
+
+
+def _lockstep_entries(
+    evaluator: _PairEvaluator, classes: List[_AcaClass], rows: bool
+) -> List[np.ndarray]:
+    """One kernel call for the pivot rows (``rows``) or the pivot
+    columns of every block of ``classes``, requested in plan order;
+    returns each class's ``(blocks, n)`` rows or ``(blocks, m)``
+    columns."""
+    index = np.concatenate([c.index for c in classes])
+    if rows:
+        fixed = [c.row_lo + c.pivot_row for c in classes]
+        starts = [c.col_lo for c in classes]
+        widths = [c.n for c in classes]
+    else:
+        fixed = [c.col_lo + c.pivot_col for c in classes]
+        starts = [c.row_lo for c in classes]
+        widths = [c.m for c in classes]
+    width = np.repeat(widths, [c.index.size for c in classes])
+    order = np.argsort(index)
+    sizes = width[order]
+    offsets = np.cumsum(sizes) - sizes
+    pivots = np.repeat(np.concatenate(fixed)[order], sizes)
+    spans = np.arange(sizes.sum()) + np.repeat(
+        np.concatenate(starts)[order] - offsets, sizes
+    )
+    values = evaluator.batch_entries(*((pivots, spans) if rows else (spans, pivots)))
+    where = np.empty_like(offsets)
+    where[order] = offsets
+    out = []
+    lo = 0
+    for cls, size in zip(classes, widths):
+        hi = lo + cls.index.size
+        out.append(values[where[lo:hi, None] + np.arange(size)])
+        lo = hi
+    return out
 
 
 def _aca_group(
-    evaluator: _PairEvaluator, live: List[_AcaBlock], tol: float
-) -> Iterator[_AcaBlock]:
+    evaluator: _PairEvaluator,
+    index: np.ndarray,
+    row_lo: np.ndarray,
+    col_lo: np.ndarray,
+    shapes: np.ndarray,
+    tol: float,
+) -> Iterator[_Finished]:
     """Run a group of ACA blocks in lockstep; yield each as it finishes.
 
-    A round evaluates every live block's pivot row in one kernel call,
-    then the pivot columns of the blocks that found a nonzero pivot in
-    one more.  Finished blocks leave the group at the end of the round,
+    Block ``k`` is plan row ``index[k]`` over tree slots ``row_lo[k] +
+    range(m)`` by ``col_lo[k] + range(n)``, with ``shapes[k] = (m, n,
+    cap)``.  A round evaluates every live block's pivot row in one
+    kernel call, then the pivot columns of the blocks that found a
+    nonzero pivot in one more, both in plan order.  Between the calls
+    each shape class steps all its blocks at once (:class:`_AcaClass`).
+    Blocks that finish in a round are yielded at its end, in plan order,
     so their factors can go to storage right away.
     """
-    while live:
-        sizes = [block.cols.size for block in live]
-        residuals = evaluator.split_entries(
-            np.repeat([block.next_row() for block in live], sizes),
-            np.concatenate([block.cols for block in live]),
-            sizes,
-        )
-        pending = [
-            block
-            for block, residual in zip(live, residuals)
-            if block.take_row(residual)
-        ]
+    keys, member = np.unique(shapes, axis=0, return_inverse=True)
+    member = member.ravel()
+    classes = []
+    for c, (m, n, cap) in enumerate(keys.tolist()):
+        sel = member == c
+        classes.append(_AcaClass(index[sel], row_lo[sel], col_lo[sel], m, n, cap))
+    step = 0
+    while classes:
+        step += 1
+        finished: List[_Finished] = []
+        pending: List[_AcaClass] = []
+        stalled: List[_AcaClass] = []
+        for cls, x in zip(classes, _lockstep_entries(evaluator, classes, True)):
+            part, done = cls.take_rows(x, step)
+            finished += done
+            if cls.index.size:
+                pending.append(cls)
+            if part is not None and part.index.size:
+                stalled.append(part)
         if pending:
-            sizes = [block.rows.size for block in pending]
-            columns = evaluator.split_entries(
-                np.concatenate([block.rows for block in pending]),
-                np.repeat(
-                    [block.cols[block.pivot_col] for block in pending], sizes
-                ),
-                sizes,
-            )
-            for block, column in zip(pending, columns):
-                block.take_col(column, tol)
-        yield from (block for block in live if block.done)
-        live = [block for block in live if not block.done]
+            for cls, u in zip(pending, _lockstep_entries(evaluator, pending, False)):
+                finished += cls.take_cols(u, step, tol)
+        finished.sort(key=lambda item: item[0])
+        yield from finished
+        classes = [cls for cls in pending + stalled if cls.index.size]
 
 
 # ----------------------------------------------------------------------
@@ -1038,34 +1189,33 @@ def _execute_plan_rows(
         kinds[idx] = _KIND_DENSE
         add_counter("hier_dense_blocks")
     admissible = np.flatnonzero(plan[:, 2] == _PLAN_LOWRANK)
+    row_lo = node_lo[plan[:, 0]]
+    col_lo = node_lo[plan[:, 1]]
+    shapes = np.stack(
+        [node_hi[plan[:, 0]] - row_lo, node_hi[plan[:, 1]] - col_lo, plan[:, 4]],
+        axis=1,
+    )
     for lo in range(0, admissible.size, _ACA_GROUP):
-        # The group list is handed over, not kept: a finished block's
-        # factors are freed once they are stored.
+        group = admissible[lo:lo + _ACA_GROUP]
         finished = _aca_group(
-            evaluator,
-            [
-                _AcaBlock(int(idx), *slots(idx), int(plan[idx, 4]))
-                for idx in admissible[lo:lo + _ACA_GROUP]
-            ],
-            tol,
+            evaluator, group, row_lo[group], col_lo[group], shapes[group], tol
         )
-        for done in finished:
-            idx = done.index
+        for idx, factors in finished:
             offset, cap = int(plan[idx, 3]), int(plan[idx, 4])
-            rank = done.rank()
-            if rank:
-                u = np.stack(done.us, axis=1)
-                v = np.stack(done.vs, axis=0)
-                lr_data[offset:offset + u.size] = u.ravel()
+            if factors is not None:
+                u, v = factors
+                rank, m = u.shape
+                lr_data[offset:offset + u.size].reshape(m, rank)[...] = u.T
                 lr_data[offset + u.size:offset + u.size + v.size] = v.ravel()
                 kinds[idx] = _KIND_LOWRANK
                 ranks[idx] = rank
                 add_counter("hier_lowrank_blocks")
                 continue
             add_counter("hier_aca_fallbacks")
-            block = evaluator.block(done.rows, done.cols)
+            rows, cols = slots(idx)
+            block = evaluator.block(rows, cols)
             kinds[idx] = _KIND_DENSE_SPILL
-            if block.size <= cap * (done.rows.size + done.cols.size):
+            if block.size <= cap * (rows.size + cols.size):
                 lr_data[offset:offset + block.size] = block.ravel()
             else:
                 spills[idx] = block

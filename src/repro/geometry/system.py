@@ -198,26 +198,27 @@ class FilamentSystem:
         Filaments are sorted by their lateral coordinate; for each filament
         we scan outward, keeping the union of axial intervals already
         shadowed by closer filaments.  A farther filament is adjacent when
-        it overlaps an unshadowed part of the axial span.
+        it overlaps an unshadowed part of the axial span.  Axial spans and
+        lateral coordinates are read from lists built once per group.
         """
-        order = sorted(range(len(indices)), key=lambda k: lateral[k])
+        spans = [self._filaments[i].axial_span for i in indices]
+        coords = lateral.tolist()
+        order = sorted(range(len(indices)), key=lambda k: coords[k])
         pairs: List[Tuple[int, int]] = []
         for a_pos, a in enumerate(order):
             i = indices[a]
-            f_i = self._filaments[i]
-            lo_i, hi_i = f_i.axial_span
+            lo_i, hi_i = spans[a]
             shadow: List[Tuple[float, float]] = []
             for b in order[a_pos + 1 :]:
-                j = indices[b]
-                f_j = self._filaments[j]
-                if abs(lateral[b] - lateral[a]) < 1e-15:
+                if abs(coords[b] - coords[a]) < 1e-15:
                     continue
-                lo = max(lo_i, f_j.axial_span[0])
-                hi = min(hi_i, f_j.axial_span[1])
+                lo_j, hi_j = spans[b]
+                lo = max(lo_i, lo_j)
+                hi = min(hi_i, hi_j)
                 if hi - lo <= 0.0:
                     continue
                 if _uncovered_length((lo, hi), shadow) > 1e-12 * (hi_i - lo_i):
-                    pairs.append((i, j))
+                    pairs.append((i, indices[b]))
                     shadow = _merge_interval(shadow, (lo, hi))
                 if _uncovered_length((lo_i, hi_i), shadow) <= 1e-12 * (hi_i - lo_i):
                     break

@@ -277,6 +277,24 @@ def dense_solve(
     )
 
 
+def _norm2(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)``, recomputed as ``m * ||a / m||`` with ``m =
+    max|a|`` when the plain sum of squares overflows.
+
+    The plain norm overflows once entries pass about ``1e154``; an
+    infinite norm would make the residual bound infinite and accept any
+    finite solution.  Finite norms keep their bits.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if np.isfinite(norm):
+        return norm
+    scale = float(np.max(np.abs(a)))
+    if not 0.0 < scale < np.inf:
+        return norm
+    return scale * float(np.linalg.norm(a / scale))
+
+
 # ----------------------------------------------------------------------
 # Sparse MNA systems (DC / AC / transient chain)
 # ----------------------------------------------------------------------
@@ -391,9 +409,9 @@ class ResilientFactor:
             return True
         residual = self._a @ x - rhs
         bound = self._policy.residual_rtol * (
-            self._norm * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs))
+            self._norm * _norm2(x) + _norm2(rhs)
         )
-        return float(np.linalg.norm(residual)) <= bound + 1e-300
+        return _norm2(residual) <= bound + 1e-300
 
     def _solve_gmres(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.ndim == 2:

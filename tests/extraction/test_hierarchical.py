@@ -20,7 +20,10 @@ which differs from the general closed forms at the ~1e-12 reassembly
 level (see test_inductance.py), so there the comparison is allclose.
 """
 
+import collections
+import contextlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -582,7 +585,7 @@ class TestBenchSuite:
 # ----------------------------------------------------------------------
 # Lockstep ACA against the single-block reference
 # ----------------------------------------------------------------------
-def _aca(evaluator, rows, cols, tol, max_rank):
+def _aca(evaluator, rows, cols, tol, max_rank, estimates=None):
     """Reference: partially pivoted ACA of one admissible block, or ``None``.
 
     The single-block loop, one kernel call per pivot row and one per
@@ -591,7 +594,8 @@ def _aca(evaluator, rows, cols, tol, max_rank):
     ``V (k, n)`` with an estimated relative Frobenius error
     ``||A - U V||_F <= tol ||A||_F``; ``None`` when the block refuses to
     converge within ``max_rank`` or the factors would not be smaller
-    than the dense block.
+    than the dense block.  ``estimates``, when given, receives the
+    squared Frobenius estimate after every factor.
     """
     m, n = rows.size, cols.size
     us = []
@@ -626,6 +630,8 @@ def _aca(evaluator, rows, cols, tol, max_rank):
         for uu, vv in zip(us, vs):
             cross += float(u @ uu) * float(v @ vv)
         frob2 = max(frob2 + norm_u2 * norm_v2 + 2.0 * cross, norm_u2 * norm_v2)
+        if estimates is not None:
+            estimates.append(frob2)
         us.append(u)
         vs.append(v)
         if norm_u2 * norm_v2 <= tol * tol * frob2:
@@ -659,12 +665,44 @@ class _MatrixEvaluator(_PairEvaluator):
         return self.matrix[np.asarray(i), np.asarray(j)]
 
 
+def _distinct(values):
+    """``values`` without consecutive repeats, as float64 bytes."""
+    out = []
+    for value in values:
+        raw = np.float64(value).tobytes()
+        if not out or out[-1] != raw:
+            out.append(raw)
+    return out
+
+
+@contextlib.contextmanager
+def _estimate_spy():
+    """Record every squared Frobenius estimate the lockstep classes hold,
+    per plan row, through the ``frob2`` slot of ``_AcaClass``."""
+    slot = hierarchical._AcaClass.frob2
+    seen = collections.defaultdict(list)
+
+    def store(self, value):
+        slot.__set__(self, value)
+        for index, estimate in zip(self.index, value):
+            seen[int(index)].append(estimate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            hierarchical._AcaClass, "frob2", property(slot.__get__, store)
+        )
+        yield seen
+
+
 def _execute_against_reference(matrix, specs, tol=1e-8):
     """Run plan rows over ``matrix`` and check each against the reference.
 
     ``specs`` are ``((row_lo, m), (col_lo, n), cap)`` blocks; ``cap=0``
-    plans the block dense.  Returns each admissible block's rank (0 for
-    a dense fallback), the executed kinds and the spills.
+    plans the block dense.  Every stored entry must equal the
+    reference's bit for bit, and so must the squared Frobenius estimate
+    each admissible block held after each of its steps.  Returns each
+    admissible block's rank (0 for a dense fallback), the executed
+    kinds and the spills.
     """
     node_lo, node_hi, rows = [], [], []
     dense_total = lr_total = 0
@@ -683,9 +721,10 @@ def _execute_against_reference(matrix, specs, tol=1e-8):
     evaluator = _MatrixEvaluator(matrix)
     dense_data = np.full(dense_total, np.nan)
     lr_data = np.full(lr_total, np.nan)
-    kinds, ranks, spills = _execute_plan_rows(
-        evaluator, node_lo, node_hi, plan, dense_data, lr_data, tol
-    )
+    with _estimate_spy() as estimates:
+        kinds, ranks, spills = _execute_plan_rows(
+            evaluator, node_lo, node_hi, plan, dense_data, lr_data, tol
+        )
     outcomes = []
     for idx, (a, b, plan_kind, offset, cap) in enumerate(plan):
         block_rows = np.arange(node_lo[a], node_hi[a])
@@ -695,7 +734,9 @@ def _execute_against_reference(matrix, specs, tol=1e-8):
             assert kinds[idx] == _KIND_DENSE
             assert _bitwise(dense_data[offset:offset + exact.size], exact.ravel())
             continue
-        factors = _aca(evaluator, block_rows, block_cols, tol, cap)
+        reference = [0.0]
+        factors = _aca(evaluator, block_rows, block_cols, tol, cap, reference)
+        assert _distinct(estimates[idx]) == _distinct(reference)
         if factors is None:
             assert kinds[idx] == _KIND_DENSE_SPILL and ranks[idx] == 0
             stored = (
@@ -769,6 +810,65 @@ class TestLockstepAca:
         assert spills
         assert len(set(outcomes) - {0}) > 2
 
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_batched_group_equals_the_reference(self, data):
+        # Groups of 1..12 blocks laid out block-diagonally in one
+        # rectangular matrix, each of one kind: smooth far-field blocks
+        # (compress, finishing in different rounds), exact-rank integer
+        # blocks (zero pivots and re-picks), all-zero blocks
+        # (convergence by exhaustion) and full-rank noise (rank cap,
+        # dense fallback, spills), each with some signed zero rows and
+        # columns.  Sizes run 1..70, so BLAS dot tails differ, and caps
+        # 1..64.
+        group = data.draw(st.sampled_from([1, 5, 64]), label="group")
+        tol = data.draw(st.sampled_from([1e-2, 1e-6, 1e-8, 1e-12]), label="tol")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        count = data.draw(st.integers(1, 12), label="count")
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for _ in range(count):
+            kind = data.draw(
+                st.sampled_from(["smooth", "rank", "zero", "noise"]), label="kind"
+            )
+            m = data.draw(st.integers(1, 70), label="m")
+            n = data.draw(st.integers(1, 70), label="n")
+            cap = min(data.draw(st.integers(1, 64), label="cap"), m, n)
+            if kind == "smooth":
+                x = rng.uniform(0.0, 1.0, m)
+                y = rng.uniform(2.0, 2.0 + rng.uniform(0.5, 30.0), n)
+                block = 1.0 / (1.0 + np.abs(x[:, None] - y[None, :]))
+            elif kind == "rank":
+                rank = int(rng.integers(1, 4))
+                a = rng.integers(-3, 4, size=(m, rank)).astype(float)
+                a[rng.random(m) < 0.4] = 0.0
+                b = rng.integers(-4, 5, size=(rank, n)).astype(float)
+                # 0 * negative entries make -0.0s.
+                block = a @ b if rank > 1 else np.outer(a[:, 0], b[0])
+            elif kind == "zero":
+                block = np.zeros((m, n))
+            else:
+                block = rng.normal(size=(m, n))
+            # Signed zero rows and columns: residual entries that stay
+            # -0.0 through the updates, and zero pivot rows.
+            block[rng.random(m) < 0.1] = 0.0
+            block[:, rng.random(n) < 0.1] = -0.0
+            blocks.append((block, cap))
+        rows = sum(block.shape[0] for block, _ in blocks)
+        cols = sum(block.shape[1] for block, _ in blocks)
+        matrix = np.zeros((rows, cols))
+        specs = []
+        row_lo = col_lo = 0
+        for block, cap in blocks:
+            m, n = block.shape
+            matrix[row_lo:row_lo + m, col_lo:col_lo + n] = block
+            specs.append(((row_lo, m), (col_lo, n), cap))
+            row_lo += m
+            col_lo += n
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hierarchical, "_ACA_GROUP", group)
+            _execute_against_reference(matrix, specs, tol)
+
     def test_scale_1024_blocks_equal_the_reference(self):
         system = scale_geometry(1024)
         clear_gmd_cache()
@@ -809,7 +909,8 @@ class TestLockstepAca:
 @pytest.fixture(scope="module")
 def scale_4096_build():
     """One serial build of ``scale_geometry(4096)`` from a cold GMD memo:
-    the operator, its counters and the factor scratch it was handed."""
+    the operator, its counters, the factor scratch it was handed and
+    the ``tracemalloc`` peak of the build (geometry built beforehand)."""
     scratch = {}
     real = hierarchical._assemble_operator
 
@@ -820,11 +921,26 @@ def scale_4096_build():
 
     system = scale_geometry(4096)
     clear_gmd_cache()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hierarchical, "_assemble_operator", capture)
-        with collect() as profile:
-            ((_, operator),) = hierarchical_blocks(system).values()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hierarchical, "_assemble_operator", capture)
+            with collect() as profile:
+                ((_, operator),) = hierarchical_blocks(system).values()
+        scratch["peak"] = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        if not tracing:
+            tracemalloc.stop()
     return operator, dict(profile.counters), scratch
+
+
+#: ``tracemalloc`` peak of the 4 096-filament serial build when each
+#: block kept its factors in per-block lists (GMD memo cleared).
+PER_BLOCK_PEAK_BYTES = 69_760_000
 
 
 class TestLockstepScale:
@@ -837,6 +953,15 @@ class TestLockstepScale:
         assert counters["hier_kernel_entries"] == 3617088
         assert counters["gmd_unique_evals"] == 184
         assert counters["gmd_cache_hits"] == 36864
+
+    def test_build_peak_stays_at_the_per_block_loop(self, scale_4096_build):
+        # The factors in flight live in chunked shape-class arrays that
+        # drop finished blocks; they must not cost more memory than the
+        # per-block lists before them, whose build peaked at 69.76 MB
+        # (factor reservation 47.8 MB, dense pool 14.9 MB); the chunked
+        # classes read 69.55 MB.
+        _, _, scratch = scale_4096_build
+        assert scratch["peak"] <= PER_BLOCK_PEAK_BYTES + 2_000_000
 
     def test_serial_build_compacts_the_scratch_in_place(self, scale_4096_build):
         operator, _, scratch = scale_4096_build

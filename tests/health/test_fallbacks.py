@@ -22,6 +22,7 @@ from repro.health import (
     rank_deficient,
     spd_inverse,
 )
+import repro.health.solvers as solvers
 from repro.health.faults import FAULT_KINDS
 from repro.pipeline.profiling import collect
 from repro.vpec.flow import full_vpec, windowed_vpec
@@ -198,6 +199,34 @@ class TestSparseChain:
             factor.solve(rhs)
         assert factor.log.methods() == ["lu"]
         assert factor.log.attempts[0].count == 999
+
+    def test_residual_check_survives_an_overflowing_norm(self, monkeypatch):
+        # ||x|| of a solution with an entry near 1e160 overflows the
+        # plain sum of squares; the residual bound must stay finite.
+        a = sparse.diags([self._PIVOT, 1.0, 2.0], format="csc")
+        b = np.array([1e-40, 1.0, 1.0])
+        exact = factorize(a, name="tiny pivot")
+        x = exact.solve(b)
+        assert x[0] == pytest.approx(1e160) and exact.method == "lu"
+
+        # A direct tier that answers with an entry of the same size in
+        # the wrong place: the residual is about 1e160 as well.
+        real_splu = solvers.splu
+
+        def wrong_first_tier(matrix):
+            lu = real_splu(matrix)
+            if matrix.diagonal()[0] != self._PIVOT:
+                return lu
+            wrong = type("WrongLU", (), {})()
+            wrong.solve = lambda rhs: lu.solve(rhs) + np.array([0.0, 1e160, 0.0])
+            return wrong
+
+        monkeypatch.setattr(solvers, "splu", wrong_first_tier)
+        factor = factorize(a, name="tiny pivot")
+        x = factor.solve(b)
+        assert factor.log.methods() == ["lu", "tikhonov"]
+        assert factor.method == "tikhonov"
+        np.testing.assert_allclose(x[1:], [1.0, 0.5], rtol=1e-6)
 
     def test_overflowing_solution_escalates_in_the_steady_state(self):
         factor = self._proven_factor()

@@ -38,8 +38,10 @@ from repro.circuit.waveform import Waveform
 from repro.experiments.runner import build_model, gw_spec
 from repro.extraction.parasitics import extract
 from repro.geometry.bus import aligned_bus
+import repro.noise.engine as engine
 from repro.noise.engine import (
     EscalatedColumn,
+    MarchItem,
     NoiseConfig,
     ResponseEntry,
     SimulateItem,
@@ -376,3 +378,71 @@ class TestLaunchesStartAtZero:
         switching[2] = Window(-1e-12, 9e-12)
         with pytest.raises(ValueError, match="wire 2"):
             screen_scenario(bus5, gw_spec(8), NoiseConfig(), switching)
+
+
+class TestMarchProbeBlock:
+    """A march's probe block is copied out of its shared record once,
+    time-last; it must equal one copy per (result, probe) waveform."""
+
+    @staticmethod
+    def _march_with_nested_copy(parasitics, march, monkeypatch):
+        captured = []
+
+        def spy(*args, **kwargs):
+            results = transient_analysis_multi(*args, **kwargs)
+            captured.append(results)
+            return results
+
+        monkeypatch.setattr(engine, "transient_analysis_multi", spy)
+        segments = simulate_escalated(parasitics, march).segments
+        monkeypatch.undo()
+        skip = 1 if march.start else 0
+        for segment, results in zip(segments, captured):
+            probes = [
+                build_model(march.spec, parasitics).skeleton.ports[w].far
+                for w in march.probes
+            ]
+            nested = np.array(
+                [[r.node_voltages[p][skip:] for p in probes] for r in results]
+            )
+            final = np.stack([r.state for r in results])
+            bases = segment.values.shape[0]
+            sources = len(segment.sources)
+            assert segment.values.flags.c_contiguous
+            assert np.array_equal(
+                segment.values,
+                nested.reshape((bases, sources) + nested.shape[1:]),
+            )
+            assert np.array_equal(
+                segment.states,
+                final.reshape(bases, sources, -1).transpose(1, 2, 0),
+            )
+        assert len(captured) == len(segments) == len(march.chunks())
+        return segments
+
+    @pytest.mark.parametrize("rise", [10e-12, 5.5e-12])
+    def test_fresh_and_resumed_items(self, rise, monkeypatch):
+        parasitics = _bus(8)
+        config = NoiseConfig(rise_time=rise)
+        sources = tuple(range(8))
+        fresh = MarchItem(
+            source="bus8",
+            spec=gw_spec(8),
+            config=config,
+            sources=sources,
+            reach=(97,) * 8,
+            probes=(6, 1, 3),
+        )
+        [first] = self._march_with_nested_copy(parasitics, fresh, monkeypatch)
+        assert first.values.shape == ((2 if rise == 5.5e-12 else 1), 8, 3, 98)
+        resumed = replace(
+            fresh,
+            reach=(97 + 150,) * 8,
+            start=first.stop,
+            states=tuple(first.states),
+        )
+        [second] = self._march_with_nested_copy(
+            parasitics, resumed, monkeypatch
+        )
+        assert second.start == first.stop + 1
+        assert second.stop == 97 + 150
