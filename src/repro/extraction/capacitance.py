@@ -109,8 +109,8 @@ def extract_capacitances(
     # ``Filament.lateral_distance_to`` takes them).
     spans = [f.axial_span for f in system]
     across = [
-        tuple(c for k, c in enumerate(f.center) if k != f.axis.value)
-        for f in system
+        tuple(c for k, c in enumerate(center) if k != f.axis.value)
+        for f, center in zip(system, system.centers().tolist())
     ]
     widths = [f.width for f in system]
     thicknesses = [f.thickness for f in system]

@@ -143,7 +143,8 @@ class _PairEvaluator:
         "widths",
         "thicknesses",
         "starts",
-        "centers",
+        "center_w",
+        "center_t",
         "orig",
         "dims",
         "diagonal",
@@ -164,7 +165,8 @@ class _PairEvaluator:
         self.widths = widths
         self.thicknesses = thicknesses
         self.starts = starts
-        self.centers = centers
+        self.center_w = np.ascontiguousarray(centers[:, 0])
+        self.center_t = np.ascontiguousarray(centers[:, 1])
         self.orig = orig
         self.dims = np.maximum(widths, thicknesses)
         self.diagonal = np.asarray(
@@ -177,10 +179,11 @@ class _PairEvaluator:
         add_counter("hier_kernel_calls")
         i = np.asarray(i, dtype=np.intp)
         j = np.asarray(j, dtype=np.intp)
-        values = np.empty(i.size)
         diag = i == j
-        if diag.any():
-            values[diag] = self.diagonal[i[diag]]
+        if not diag.any():
+            return self._off_diagonal(i, j)
+        values = np.empty(i.size)
+        values[diag] = self.diagonal[i[diag]]
         off = np.nonzero(~diag)[0]
         if off.size:
             values[off] = self._off_diagonal(i[off], j[off])
@@ -192,9 +195,8 @@ class _PairEvaluator:
         swap = self.orig[i] > self.orig[j]
         a = np.where(swap, j, i)
         b = np.where(swap, i, j)
-        centers = self.centers
-        dy = centers[a, 0] - centers[b, 0]
-        dz = centers[a, 1] - centers[b, 1]
+        dy = self.center_w[a] - self.center_w[b]
+        dz = self.center_t[a] - self.center_t[b]
         distance = np.hypot(dy, dz)
         offset = self.starts[b] - self.starts[a]
         len_a = self.lengths[a]
@@ -216,6 +218,8 @@ class _PairEvaluator:
                     np.abs(dz[sel]),
                 )
 
+        if lateral.all():
+            return _mutual_parallel_vec(len_a, len_b, eff, offset)
         values = np.zeros(a.size)
         lat = np.nonzero(lateral)[0]
         if lat.size:
@@ -223,10 +227,7 @@ class _PairEvaluator:
                 len_a[lat], len_b[lat], eff[lat], offset[lat]
             )
         col = np.nonzero(~lateral)[0]
-        if col.size:
-            values[col] = _mutual_collinear_vec(
-                len_a[col], len_b[col], offset[col]
-            )
+        values[col] = _mutual_collinear_vec(len_a[col], len_b[col], offset[col])
         return values
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -31,9 +31,10 @@ Assembly is organized around deduplication rather than per-pair loops:
   a placeholder distance and discarded.
 - *GMD memoization*: close-pair GMD quadratures are deduplicated by a
   quantized ``(section_a, section_b, off_w, off_t)`` key ahead of
-  evaluation, resolved through a module-level LRU cache that persists
-  across extractions (``gmd_unique_evals`` / ``gmd_cache_hits`` profiling
-  counters record the traffic), and scattered back with fancy indexing.
+  evaluation: each pair is one lookup of its key's bytes in a
+  module-level LRU cache that persists across extractions
+  (``gmd_unique_evals`` / ``gmd_cache_hits`` profiling counters record
+  the traffic), and each distinct missing key is evaluated once.
 
 The kernels are numerically equivalent to evaluating every pair with the
 scalar formulas below: bit-for-bit on the general path, and to better
@@ -282,7 +283,14 @@ _GMD_KEY_QUANTUM = 1e12
 #: protects against pathological fully random geometry streams.
 _GMD_CACHE_MAX = 65536
 
-_GMD_CACHE: "OrderedDict[Tuple[int, ...], float]" = OrderedDict()
+#: The memo, least recently used first, keyed by a key row's bytes
+#: (:func:`_gmd_key_rows`).
+_GMD_CACHE: "OrderedDict[bytes, float]" = OrderedDict()
+
+#: One quantized key row as a single 48-byte item.
+_GMD_KEY_ROW = np.dtype((np.void, 6 * 8))
+
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def clear_gmd_cache() -> None:
@@ -295,6 +303,17 @@ def gmd_cache_size() -> int:
     return len(_GMD_CACHE)
 
 
+def _gmd_key_rows(keys: np.ndarray) -> List[bytes]:
+    """The bytes of each ``(m, 6)`` int64 key row, ordered like the rows.
+
+    Each value is written big-endian with its sign bit flipped, so the
+    bytes of two rows compare like their signed integer tuples: sorting
+    them is sorting the rows lexicographically.
+    """
+    flipped = keys.view(np.uint64) ^ _SIGN_BIT
+    return flipped.astype(">u8").view(_GMD_KEY_ROW).ravel().tolist()
+
+
 def _gmd_grouped(
     width_a: np.ndarray,
     thickness_a: np.ndarray,
@@ -305,62 +324,57 @@ def _gmd_grouped(
 ) -> np.ndarray:
     """GMDs of many close pairs, deduplicated *before* any quadrature runs.
 
-    Pairs are grouped by the quantized ``(section_a, section_b, off_w,
-    off_t)`` key (sections in canonical order -- the quadrature is
-    symmetric under swapping the rectangles); each unique key is resolved
-    through the module-level LRU cache, evaluating
-    :func:`gmd_rectangles` once per miss with the representative (first
-    occurrence) exact geometry, and the values are scattered back to all
-    pairs with fancy indexing.
+    Pairs are keyed by the quantized ``(section_a, section_b, off_w,
+    off_t)`` row (sections in canonical order -- the quadrature is
+    symmetric under swapping the rectangles), and each pair is one
+    lookup of its row's bytes in the module-level LRU cache.  A call
+    touches its distinct keys in sorted key order: a hit moves to the
+    most recent end, and a miss evaluates :func:`gmd_rectangles` once
+    with the exact geometry of its key's first pair, evicting the least
+    recently used entry when the cache is full.
     """
-    q = _GMD_KEY_QUANTUM
-    sa_w = np.round(width_a * q).astype(np.int64)
-    sa_t = np.round(thickness_a * q).astype(np.int64)
-    sb_w = np.round(width_b * q).astype(np.int64)
-    sb_t = np.round(thickness_b * q).astype(np.int64)
-    swap = (sa_w > sb_w) | ((sa_w == sb_w) & (sa_t > sb_t))
-    lo_w = np.where(swap, sb_w, sa_w)
-    lo_t = np.where(swap, sb_t, sa_t)
-    hi_w = np.where(swap, sa_w, sb_w)
-    hi_t = np.where(swap, sa_t, sb_t)
-    keys = np.stack(
-        [
-            lo_w,
-            lo_t,
-            hi_w,
-            hi_t,
-            np.round(off_w * q).astype(np.int64),
-            np.round(off_t * q).astype(np.int64),
-        ],
-        axis=1,
+    keys = np.round(
+        np.stack([width_a, thickness_a, width_b, thickness_b, off_w, off_t], axis=1)
+        * _GMD_KEY_QUANTUM
+    ).astype(np.int64)
+    swap = (keys[:, 0] > keys[:, 2]) | (
+        (keys[:, 0] == keys[:, 2]) & (keys[:, 1] > keys[:, 3])
     )
-    _, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    unique_values = np.empty(first.size)
+    keys[swap, :4] = keys[swap][:, [2, 3, 0, 1]]
+    rows = _gmd_key_rows(keys)
+    cache = _GMD_CACHE
+    values = list(map(cache.get, rows))
     misses = 0
-    for slot, rep in enumerate(first):
-        key = tuple(int(v) for v in keys[rep])
-        value = _GMD_CACHE.get(key)
-        if value is None:
-            value = gmd_rectangles(
-                float(width_a[rep]),
-                float(thickness_a[rep]),
-                float(width_b[rep]),
-                float(thickness_b[rep]),
-                float(off_w[rep]),
-                float(off_t[rep]),
-            )
-            if len(_GMD_CACHE) >= _GMD_CACHE_MAX:
-                _GMD_CACHE.popitem(last=False)
-            _GMD_CACHE[key] = value
-            misses += 1
-        else:
-            _GMD_CACHE.move_to_end(key)
-        unique_values[slot] = value
+    if None in values:
+        # Reversed, so each key keeps the index of its first pair.
+        first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))
+        resolved = {}
+        for key in sorted(first):
+            value = cache.get(key)
+            if value is None:
+                rep = first[key]
+                value = gmd_rectangles(
+                    float(width_a[rep]),
+                    float(thickness_a[rep]),
+                    float(width_b[rep]),
+                    float(thickness_b[rep]),
+                    float(off_w[rep]),
+                    float(off_t[rep]),
+                )
+                if len(cache) >= _GMD_CACHE_MAX:
+                    cache.popitem(last=False)
+                cache[key] = value
+                misses += 1
+            else:
+                cache.move_to_end(key)
+            resolved[key] = value
+        values = list(map(resolved.__getitem__, rows))
+    else:
+        for key in sorted(set(rows)):
+            cache.move_to_end(key)
     add_counter("gmd_unique_evals", misses)
-    add_counter("gmd_cache_hits", keys.shape[0] - misses)
-    return unique_values[np.asarray(inverse).ravel()]
+    add_counter("gmd_cache_hits", len(rows) - misses)
+    return np.array(values, dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +447,7 @@ def axis_geometry(
     starts = np.array([f.axial_span[0] for f in filaments])
     axis_index = axis.value
     perp_axes = [k for k in range(3) if k != axis_index]
-    centers = np.array([f.center for f in filaments])[:, perp_axes]
+    centers = system.centers()[np.ix_(indices, perp_axes)]
     return lengths, widths, thicknesses, starts, centers
 
 

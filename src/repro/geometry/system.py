@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class FilamentSystem:
     name:
         Human-readable label used in netlist titles.
     """
+
+    #: :meth:`centers`, built on first use.
+    _centers: Optional[np.ndarray] = None
 
     def __init__(self, filaments: Iterable[Filament], name: str = "system") -> None:
         self._filaments: List[Filament] = list(filaments)
@@ -121,6 +124,18 @@ class FilamentSystem:
         """Filament lengths in meters, shape ``(n,)``."""
         return np.array([f.length for f in self._filaments])
 
+    def centers(self) -> np.ndarray:
+        """Filament centers in meters, shape ``(n, 3)``, read-only.
+
+        Row ``i`` is ``self[i].center``.  The array is built once, on
+        first use, and shared by every later caller.
+        """
+        if self._centers is None:
+            centers = np.array([f.center for f in self._filaments])
+            centers.flags.writeable = False
+            self._centers = centers
+        return self._centers
+
     def axes(self) -> List[Axis]:
         """Current axis of each filament."""
         return [f.axis for f in self._filaments]
@@ -178,9 +193,7 @@ class FilamentSystem:
             return []
         axis = self._filaments[indices[0]].axis.value
         perp = [k for k in range(3) if k != axis]
-        coords = np.array(
-            [[self._filaments[i].center[p] for p in perp] for i in indices]
-        )
+        coords = self.centers()[np.ix_(indices, perp)]
         scale = max(
             self._filaments[i].width + self._filaments[i].thickness for i in indices
         )

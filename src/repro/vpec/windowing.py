@@ -42,11 +42,11 @@ from repro.pipeline.profiling import add_counter
 from repro.vpec.effective import VpecNetwork
 
 
-#: Group size above which nearest-neighbor selection switches from the
-#: exact all-pairs scan to a KD-tree query.  Memory is not the reason
-#: (the scan streams row blocks, see :data:`_SELECT_BLOCK_BYTES`): its
-#: O(n^2) time is, and below the limit the exact scan keeps the golden
-#: results' argpartition tie-breaking bit for bit.
+#: Group size above which window selection is one KD-tree query of the
+#: ``b`` nearest per row.  Up to this size the selection equals the
+#: exact all-pairs scan (:func:`_nearest_exact`) window for window,
+#: ties included (:func:`_nearest`); above it the O(n^2) scan a tie
+#: would need is too slow to keep as the reference.
 _DENSE_KNN_LIMIT = 4096
 
 #: Scratch budget of one block of window-layer work.  The exact scan
@@ -57,21 +57,33 @@ _DENSE_KNN_LIMIT = 4096
 #: would exceed this size.
 _SELECT_BLOCK_BYTES = 4 << 20
 
+#: Relative margin by which a row's ``b``-th candidate distance must
+#: undercut the KD-tree's candidate radius (see :func:`_nearest`).  The
+#: tree prunes against bounds it updates incrementally, so it can miss a
+#: point within a few ulps of the radius; the margin is far above that
+#: rounding and far below any spacing a layout resolves.
+_RADIUS_SLACK = 1e-9
 
-def _nearest_exact(centers: np.ndarray, b: int) -> np.ndarray:
+
+def _nearest_exact(
+    centers: np.ndarray, b: int, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Row-wise ``argpartition`` of all-pairs center distances, streamed.
 
     Each block of rows evaluates ``sqrt(dx*dx + dy*dy + dz*dz)`` --
     the same left-to-right sum ``np.sum(delta * delta, axis=2)`` forms
     over the coordinate axis -- and ``argpartition`` treats every row
     on its own, so the result equals the all-pairs selection index for
-    index, ties included.
+    index, ties included.  ``rows`` restricts the scan to those rows
+    (all rows by default); the result has one row per scanned row.
     """
     n = centers.shape[0]
-    rows = max(1, _SELECT_BLOCK_BYTES // (8 * n))
-    nearest = np.empty((n, b), dtype=np.intp)
-    for lo in range(0, n, rows):
-        block = centers[lo:lo + rows]
+    if rows is None:
+        rows = np.arange(n)
+    step = max(1, _SELECT_BLOCK_BYTES // (8 * n))
+    nearest = np.empty((rows.size, b), dtype=np.intp)
+    for lo in range(0, rows.size, step):
+        block = centers[rows[lo:lo + step]]
         distance = np.subtract.outer(block[:, 0], centers[:, 0])
         distance *= distance
         for axis in (1, 2):
@@ -79,7 +91,46 @@ def _nearest_exact(centers: np.ndarray, b: int) -> np.ndarray:
             delta *= delta
             distance += delta
         np.sqrt(distance, out=distance)
-        nearest[lo:lo + rows] = np.argpartition(distance, b - 1, axis=1)[:, :b]
+        nearest[lo:lo + step] = np.argpartition(distance, b - 1, axis=1)[:, :b]
+    return nearest
+
+
+def _nearest(centers: np.ndarray, b: int) -> np.ndarray:
+    """The exact scan's nearest-``b`` sets, from ``2b`` KD-tree candidates.
+
+    The tree proposes each row's ``2b`` nearest centers; they are
+    re-ranked with the scan's own distance formula.  A row whose ``b``-th
+    distance is below its ``(b+1)``-th and inside the candidate radius
+    (the ``2b``-th distance, less :data:`_RADIUS_SLACK`) has exactly one
+    nearest-``b`` set, every point of it among the candidates -- the set
+    the scan's ``argpartition`` returns.  Every other row (a tie at the
+    ``b``-th distance, or a set that may reach past the candidates) is
+    scanned exactly, so the windows equal the scan's, ties included.
+    Rows are returned unsorted, like :func:`_nearest_exact`'s.
+    """
+    n = centers.shape[0]
+    k = 2 * b
+    if k >= n:
+        return _nearest_exact(centers, b)
+    from scipy.spatial import cKDTree
+
+    radius, candidates = cKDTree(centers).query(centers, k=k)
+    distance = np.subtract(centers[:, 0, None], centers[candidates, 0])
+    distance *= distance
+    for axis in (1, 2):
+        delta = np.subtract(centers[:, axis, None], centers[candidates, axis])
+        delta *= delta
+        distance += delta
+    np.sqrt(distance, out=distance)
+    order = np.argsort(distance, axis=1, kind="stable")
+    ranked = np.take_along_axis(distance, order, axis=1)
+    nearest = np.take_along_axis(candidates, order[:, :b], axis=1)
+    inside = ranked[:, b - 1] < radius[:, -1] * (1.0 - _RADIUS_SLACK)
+    unique = ranked[:, b - 1] < ranked[:, b]
+    scan = np.flatnonzero(~(inside & unique))
+    if scan.size:
+        nearest[scan] = _nearest_exact(centers, b, scan)
+    add_counter("window_scan_rows", int(scan.size))
     return nearest
 
 
@@ -104,14 +155,16 @@ def geometric_windows(
         raise ValueError("window size must be >= 1")
     n = len(indices)
     b = min(window_size, n)
-    centers = np.array([system[i].center for i in indices])
+    centers = system.centers()[np.asarray(indices, dtype=np.intp)]
     if n <= _DENSE_KNN_LIMIT:
-        nearest = _nearest_exact(centers, b)
+        nearest = _nearest(centers, b)
     else:
-        # The exact scan's O(n^2) time stops paying off here.  A
-        # KD-tree query finds the same nearest-b sets in O(n b log n);
-        # only degenerate equidistant ties can differ, and
-        # symmetrization absorbs those.
+        # A KD-tree query of the b nearest, kept as is so the committed
+        # window digests hold.  It is not the exact scan: rows that tie
+        # at the b-th distance keep other nearest sets, and
+        # symmetrization does not absorb them -- on
+        # scale_geometry(16384) at b = 8, 107 of 16 384 rows differ
+        # and so do 189 symmetrized windows.
         from scipy.spatial import cKDTree
 
         _, nearest = cKDTree(centers).query(centers, k=b)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.vpec.windowing as windowing
 from repro.bench.extraction_scale import scale_geometry
@@ -11,6 +12,8 @@ from repro.bench.sweep import sweep_grid
 from repro.extraction.hierarchical import LazyInductance
 from repro.extraction.parasitics import extract
 from repro.geometry.bus import aligned_bus
+from repro.geometry.filament import Axis, Filament
+from repro.geometry.system import FilamentSystem
 from repro.health import DEFAULT_POLICY, STRICT_POLICY, SingularMatrixError
 from repro.pipeline.profiling import collect
 from repro.vpec.full import full_vpec_networks, invert_spd
@@ -132,6 +135,80 @@ class TestStreamedSelection:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def _cloud(origins):
+    """Unit x-directed bars at ``origins`` (meters), one wire each."""
+    return FilamentSystem(
+        [
+            Filament(
+                origin=tuple(origin), length=1e-6, width=1e-6,
+                thickness=1e-6, axis=Axis.X, wire=wire,
+            )
+            for wire, origin in enumerate(origins.tolist())
+        ],
+        name="cloud",
+    )
+
+
+@st.composite
+def clouds(draw):
+    """``(system, b)``: a random cloud, an integer lattice (many ties at
+    the ``b``-th distance) or a few sites shared by many coincident
+    centers, with ``n`` often right around ``b`` and ``2b``."""
+    b = draw(st.integers(1, 8))
+    n = draw(
+        st.one_of(
+            st.sampled_from([b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 2 * b + 2]),
+            st.integers(1, 160),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "lattice", "coincident"]))
+    if kind == "random":
+        origins = rng.uniform(0.0, 50e-6, size=(n, 3))
+    elif kind == "lattice":
+        side = int(np.ceil(n ** (1 / 3))) + draw(st.integers(0, 2))
+        depth = draw(st.sampled_from([1, side]))
+        grid = np.stack(
+            np.meshgrid(
+                np.arange(side), np.arange(side), np.arange(depth),
+                indexing="ij",
+            ),
+            axis=-1,
+        ).reshape(-1, 3)
+        while grid.shape[0] < n:
+            grid = np.concatenate([grid, grid + [0, 0, depth]])
+        origins = grid[rng.permutation(grid.shape[0])[:n]] * 2e-6
+    else:
+        sites = rng.uniform(0.0, 10e-6, size=(draw(st.integers(1, 4)), 3))
+        origins = sites[rng.integers(0, sites.shape[0], size=n)]
+    return _cloud(origins), b
+
+
+class TestSelectionProperty:
+    """The KD-candidate selection is the all-pairs scan, window for window."""
+
+    @given(clouds())
+    @settings(max_examples=250)
+    def test_equals_the_all_pairs_scan(self, cloud):
+        system, b = cloud
+        indices = list(range(len(system)))
+        reference = _all_pairs_nearest(system, indices, min(b, len(indices)))
+        got = geometric_windows(system, indices, b, symmetrize=False)
+        _assert_same_windows(got, reference)
+        _assert_same_windows(
+            geometric_windows(system, indices, b), symmetrize_windows(reference)
+        )
+
+    def test_scale_geometry_scans_only_tied_rows(self):
+        # 11 of the 4 096 rows tie at the 8th and 9th distance; every
+        # other row keeps its KD-tree candidates.
+        system = scale_geometry(4096)
+        (indices,) = system.indices_by_axis().values()
+        with collect() as profile:
+            geometric_windows(system, indices, 8)
+        assert profile.counters["window_scan_rows"] == 11
 
 
 class TestNumericalWindows:
