@@ -17,6 +17,9 @@ Two layers of enforcement:
 ``test_march_step_costs_about_one_solve`` gates the transient march's
 per-step glue live: a step of the escalation's own shape must cost
 little more than its bare product and back-substitution.
+``test_symmetric_factor_halves_the_sweep_step`` gates the solve itself
+on the sweep family's testbench: the chain's symmetric-mode factor
+against COLAMD with partial pivoting.
 """
 
 import time
@@ -26,15 +29,19 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from repro.analysis.tables import format_table
 from repro.bench import load_trajectory
 from repro.bench.sim import SIM_KERNELS, run_sim_suite
+from repro.bench.sweep import sweep_grid
 from repro.circuit.mna import build_mna
 from repro.circuit.sources import step
 from repro.circuit.transient import transient_analysis_multi
 from repro.experiments.runner import build_model, gw_spec
 from repro.extraction.parasitics import extract
 from repro.geometry.bus import aligned_bus
+from repro.health.solvers import factorize
 from repro.noise.engine import attach_quiet_bus_testbench
+from repro.pipeline.profiling import collect
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _TRAJECTORY = _REPO_ROOT / "BENCH_sim.json"
@@ -129,3 +136,86 @@ def test_march_step_costs_about_one_solve():
     ratio = best[march] / best[bare]
     print(f"march step / bare step: {ratio:.2f}")
     assert ratio <= MARCH_STEP_RATIO
+
+
+#: Ceiling of 362 six-column solves on the factor the chain serves for
+#: the sweep family's march left-hand side (2 608 unknowns, SuperLU's
+#: symmetric mode) over the same solves on COLAMD with partial
+#: pivoting, best of 5 each, interleaved (2-CPU Xeon, one BLAS thread,
+#: a busy shared host).  It read 0.46-0.52 over five runs; the ceiling
+#: fails a return to partial pivoting on large systems (ratio 1.0).
+SYMMETRIC_SOLVE_RATIO = 0.75
+
+#: Solves of a ``sweep_family`` sign-off: 362 of 6 columns, its DC
+#: start and 361 march steps (``circuit.lu_factorizations`` of a traced
+#: run).
+SWEEP_STEPS, SWEEP_COLUMNS = 362, 6
+
+
+def test_symmetric_factor_halves_the_sweep_step(report):
+    """The escalation march's trapezoidal left-hand side of
+    :func:`sweep_grid`'s testbench, solved as often and as wide as one
+    sign-off solves it."""
+    dt = 1e-12
+    grid = sweep_grid()
+    scenario = grid.scenarios()[0]
+    config = scenario.config(grid.base)
+    built = build_model(grid.model, extract(scenario.geometry().build()))
+    attach_quiet_bus_testbench(
+        built.skeleton, config.driver_resistance, config.load_capacitance
+    )
+    system = build_mna(built.circuit)
+    lhs = (system.G.tocsc() + (2.0 / dt) * system.C.tocsc()).tocsc()
+    block = np.random.default_rng(0).standard_normal(
+        (system.size, SWEEP_COLUMNS)
+    )
+
+    with collect() as profile:
+        start = time.perf_counter()
+        chain = factorize(lhs, name="sweep LHS")
+        chain.solve(block)
+        chain_factor_s = time.perf_counter() - start
+    start = time.perf_counter()
+    partial = splu(lhs)
+    partial.solve(block)
+    partial_factor_s = time.perf_counter() - start
+    assert chain.log.attempts[0].detail == "symmetric mode"
+
+    def symmetric():
+        for _ in range(SWEEP_STEPS):
+            chain.solve(block)
+
+    def colamd():
+        for _ in range(SWEEP_STEPS):
+            partial.solve(block)
+
+    best = {symmetric: float("inf"), colamd: float("inf")}
+    for _ in range(5):
+        for run in best:
+            start = time.perf_counter()
+            run()
+            best[run] = min(best[run], time.perf_counter() - start)
+    ratio = best[symmetric] / best[colamd]
+    report(
+        "sim_symmetric_factor",
+        format_table(
+            ["metric", "symmetric mode", "COLAMD, partial pivoting"],
+            [
+                ["unknowns", system.size, system.size],
+                ["L+U nonzeros", profile.counters["lu_nonzeros"], partial.nnz],
+                [
+                    "factor + first solve (ms)",
+                    f"{chain_factor_s * 1e3:.1f}",
+                    f"{partial_factor_s * 1e3:.1f}",
+                ],
+                [
+                    f"{SWEEP_STEPS} x {SWEEP_COLUMNS}-column solves, "
+                    "best of 5 (ms)",
+                    f"{best[symmetric] * 1e3:.1f}",
+                    f"{best[colamd] * 1e3:.1f}",
+                ],
+                ["solve time / COLAMD", f"{ratio:.2f}", "1.00"],
+            ],
+        ),
+    )
+    assert ratio <= SYMMETRIC_SOLVE_RATIO

@@ -57,7 +57,6 @@ from repro.health.solvers import (
     dense_solve,
     factorize,
     require_finite,
-    sparse_solve,
     spd_inverse,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "spd_inverse",
     "dense_solve",
     "factorize",
-    "sparse_solve",
     "require_finite",
     "ResilientFactor",
     "WINDOW_CG_RTOL",

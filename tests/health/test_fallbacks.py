@@ -5,7 +5,11 @@ silently non-finite result) escapes the public API."""
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from repro.bench.sweep import sweep_grid
+from repro.circuit.mna import build_mna
+from repro.experiments.runner import build_model, gw_spec
 from repro.health import (
     DEFAULT_POLICY,
     STRICT_POLICY,
@@ -24,6 +28,7 @@ from repro.health import (
 )
 import repro.health.solvers as solvers
 from repro.health.faults import FAULT_KINDS
+from repro.noise.engine import attach_quiet_bus_testbench
 from repro.pipeline.profiling import collect
 from repro.vpec.flow import full_vpec, windowed_vpec
 from repro.vpec.full import invert_spd
@@ -244,6 +249,95 @@ class TestSparseChain:
         assert profile.counters["solve_lu"] == 1
         assert profile.counters["solve_tikhonov"] == 1
         assert profile.counters["solve_fallbacks"] == 1
+
+
+# ----------------------------------------------------------------------
+# The symmetric first tier of large sparse systems
+# ----------------------------------------------------------------------
+def _march_lhs(parasitics, spec, config=None, dt=1e-12):
+    """The escalation march's trapezoidal left-hand side and its source
+    rows, assembled as :func:`repro.circuit.transient._factorize_step`
+    does."""
+    built = build_model(spec, parasitics)
+    if config is None:
+        attach_quiet_bus_testbench(built.skeleton)
+    else:
+        attach_quiet_bus_testbench(
+            built.skeleton, config.driver_resistance, config.load_capacitance
+        )
+    system = build_mna(built.circuit)
+    lhs = (system.G.tocsc() + (2.0 / dt) * system.C.tocsc()).tocsc()
+    return lhs, system.source_rows()
+
+
+def _unit_columns(size, rows):
+    block = np.zeros((size, len(rows)))
+    block[rows, np.arange(len(rows))] = 1.0
+    return block
+
+
+class TestSymmetricTier:
+    def test_tiny_diagonal_falls_back_to_partial_pivoting(self):
+        """256 blocks ``[[1e-18, 1], [1, 1e-18]]``: the symmetric tier
+        pivots on the tiny diagonal and fails the residual check; the
+        partial-pivoting LU serves the exact answer, before any ridge."""
+        tiny = 1e-18
+        a = sparse.block_diag(
+            [np.array([[tiny, 1.0], [1.0, tiny]])] * 256, format="csc"
+        )
+        assert a.shape[0] == 512
+        rhs = np.ones(a.shape[0])
+        with collect() as profile:
+            factor = factorize(a, name="tiny diagonal")
+            x = factor.solve(rhs)
+        np.testing.assert_array_equal(x, np.ones(a.shape[0]))
+        assert factor.method == "lu"
+        assert factor.log.methods() == ["lu", "lu"]
+        symmetric, partial = factor.log.attempts
+        assert not symmetric.succeeded
+        assert symmetric.detail == "symmetric mode: residual check failed"
+        assert partial.succeeded and partial.detail == ""
+        assert profile.counters["solve_fallbacks"] == 1
+        assert profile.counters["solve_lu"] == 2
+        # Only the accepted factorization counts its fill.
+        assert profile.counters["lu_nonzeros"] == splu(a).nnz
+        assert "solve_tikhonov" not in profile.counters
+        assert "solve_gmres_ilu" not in profile.counters
+
+    def test_sweep_lhs_holds_less_fill(self, sweep6):
+        """The size-6 sweep family's march left-hand side (816
+        unknowns): the serving factor holds at most 0.75x the L+U of
+        COLAMD with partial pivoting."""
+        grid = sweep_grid(segments=6, num_densities=1)
+        (scenario,) = grid.scenarios()
+        lhs, rows = _march_lhs(sweep6, grid.model, scenario.config(grid.base))
+        assert lhs.shape[0] == 816
+        with collect() as profile:
+            factor = factorize(lhs, name="sweep6 LHS")
+            for _ in range(4):
+                factor.solve(_unit_columns(lhs.shape[0], rows))
+        assert profile.counters["lu_nonzeros"] <= 0.75 * splu(lhs).nnz
+        assert factor.log.methods() == ["lu"]
+        assert factor.log.attempts[0].detail == "symmetric mode"
+        assert factor.log.attempts[0].count == 4
+
+    def test_small_systems_keep_the_plain_factor_bits(self, bus16):
+        """Below the size rule the chain's answer is the plain SuperLU
+        answer byte for byte (the service digests hash these bits)."""
+        lhs, rows = _march_lhs(bus16, gw_spec(8))
+        assert lhs.shape[0] == 176
+        rng = np.random.default_rng(7)
+        blocks = [
+            _unit_columns(lhs.shape[0], rows),
+            rng.standard_normal((lhs.shape[0], 8)),
+            rng.standard_normal(lhs.shape[0]),
+        ]
+        plain = splu(lhs)
+        factor = factorize(lhs, name="bus16 LHS")
+        for block in blocks * 2:
+            assert factor.solve(block).tobytes() == plain.solve(block).tobytes()
+        assert factor.log.methods() == ["lu"]
+        assert factor.log.attempts[0].detail == ""
 
 
 # ----------------------------------------------------------------------

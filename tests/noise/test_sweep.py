@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.bench.sweep import sweep_grid
 from repro.noise.engine import NoiseConfig, run_noise_scan
 from repro.noise.sweep import (
     MAX_COLUMNS_PER_SIM,
@@ -312,3 +313,25 @@ class TestIterativeTransientTwins:
         assert [v.wire for v in iterative.failing()] == [
             v.wire for v in direct.failing()
         ]
+
+
+class TestSweepFamilyVerify:
+    """The size-6 bench family's escalations (816-unknown testbenches,
+    factorized in SuperLU's symmetric mode) against an independent
+    march of each victim."""
+
+    def test_superposed_peaks_match_the_direct_march_to_1e12(self):
+        grid = sweep_grid(segments=6, num_densities=6)
+        deviations = []
+        for scenario in grid.scenarios():
+            report = run_noise_scan(
+                cached_extract(scenario.geometry().build(), cache=None),
+                grid.model,
+                scenario.config(grid.base),
+                verify=True,
+            )
+            deviations += [
+                v.verify_deviation for v in report.victims if v.escalated
+            ]
+        assert len(deviations) == 6
+        assert max(deviations) <= 1e-12
