@@ -23,7 +23,7 @@ the object path compute the same numbers, not just that it is fast.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

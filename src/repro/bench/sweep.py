@@ -19,11 +19,11 @@ commits both timings:
 The committed ratio ``sequential / batched`` is the headline sweep
 speedup.  The suite *raises* if the two flows disagree: escalation
 decisions must match exactly, and per-victim peaks must agree to
-:data:`_PEAK_RTOL`.  Peaks are not compared bit-for-bit here because
-SuperLU's blocked multi-RHS triangular solves round differently from
-its single-column path on large factors (observed relative differences
-sit near 1e-10; the golden tests pin exact bit-identity in the
-small-system regime where the kernels coincide).
+:data:`_PEAK_RTOL`.  The largest relative peak difference between the
+flows measured 0.0 at 6 and at 24 scenarios (one BLAS thread); peaks
+are still compared to a tolerance because SuperLU's multi-RHS
+triangular solves may round differently from its single-column path
+under another BLAS, which is unmeasured.
 
 The default family (``segments=20``, 24 densities) sizes the inductive
 model so one build costs seconds -- the regime the sweep exists for.
@@ -54,7 +54,7 @@ from repro.pipeline.cache import PipelineCache, cached_extract
 SWEEP_KERNELS = ("noise_sweep_family",)
 
 #: Relative tolerance of the sequential-vs-batched peak comparison
-#: (see the module docstring; observed differences are ~1e-10).
+#: (see the module docstring; measured differences are 0.0).
 _PEAK_RTOL = 1e-6
 
 #: Coupling threshold of the family's noise-window model.

@@ -17,7 +17,6 @@ Public API
 """
 
 from repro.circuit.ac import ac_analysis, ac_analysis_multi, logspace_frequencies
-from repro.circuit.adaptive import AdaptiveStats, adaptive_transient_analysis
 from repro.circuit.dc import dc_operating_point
 from repro.circuit.elements import (
     CCCS,
@@ -75,8 +74,6 @@ __all__ = [
     "logspace_frequencies",
     "transient_analysis",
     "transient_analysis_multi",
-    "adaptive_transient_analysis",
-    "AdaptiveStats",
     "parse_spice",
     "parse_value",
     "ParsedNetlist",

@@ -47,7 +47,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.circuit.columns import (
-    COLUMN_STORE_TYPES,
     CapacitorColumns,
     CccsColumns,
     CurrentSourceColumns,

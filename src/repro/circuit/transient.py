@@ -17,9 +17,7 @@ The initial condition is the DC operating point with the sources at their
 ``t = 0`` transient values.
 
 There is one march: :func:`transient_analysis` is the one-scenario case
-of :func:`transient_analysis_multi`, and the adaptive engine
-(:mod:`repro.circuit.adaptive`) builds its one-step operators with the
-same :func:`_factorize_step`.
+of :func:`transient_analysis_multi`.
 """
 
 from __future__ import annotations

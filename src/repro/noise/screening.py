@@ -53,11 +53,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.timing import (
-    elmore_delays,
-    wire_capacitance,
-    wire_resistance,
-)
+from repro.analysis.timing import elmore_delays, wire_resistance
 from repro.constants import DRIVER_RESISTANCE, LOAD_CAPACITANCE, VDD
 from repro.extraction.hierarchical import LazyInductance
 from repro.extraction.parasitics import Parasitics

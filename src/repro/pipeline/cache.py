@@ -47,7 +47,9 @@ from repro.pipeline.profiling import add_counter
 #: v2: Circuit pickles changed layout (columnar element stores).
 #: v3: Parasitics pickles changed layout (lazy derived full matrix,
 #:     hierarchical operator blocks).
-CACHE_VERSION = 3
+#: v4: noise reports changed: escalated peaks on systems of at least
+#:     512 unknowns come from a symmetric-mode sparse factor.
+CACHE_VERSION = 4
 
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -22,7 +22,7 @@ from repro.service.jobs import (
     JobRequest,
     SimParams,
 )
-from repro.service.client import ServiceClient, gather_requests
+from repro.service.client import ServiceClient
 from repro.service.server import (
     AnalysisService,
     ServiceConfig,
@@ -47,7 +47,6 @@ __all__ = [
     "JobRequest",
     "SimParams",
     "ServiceClient",
-    "gather_requests",
     "AnalysisService",
     "ServiceConfig",
     "ServiceServer",

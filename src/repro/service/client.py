@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.service.jobs import TERMINAL_STATES
 
@@ -29,7 +29,9 @@ class ServiceClient:
         self._reader = reader
         self._writer = writer
         self._write_lock = asyncio.Lock()
-        self._queues: Dict[str, "asyncio.Queue[Dict[str, Any]]"] = {}
+        # A pending exchange's queue receives ``None`` once the
+        # connection is lost.
+        self._queues: Dict[str, "asyncio.Queue[Optional[Dict[str, Any]]]"] = {}
         self._counter = 0
         self._closed = False
         self._reader_task = asyncio.create_task(self._read_loop())
@@ -62,19 +64,27 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     async def _read_loop(self) -> None:
-        while True:
-            line = await self._reader.readline()
-            if not line:
-                break
-            try:
-                message = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            queue = self._queues.get(message.get("id"))
-            if queue is not None:
-                queue.put_nowait(message)
+        try:
+            while True:
+                line = await self._reader.readline()
+                if not line:
+                    break
+                try:
+                    message = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                queue = self._queues.get(message.get("id"))
+                if queue is not None:
+                    queue.put_nowait(message)
+        except ConnectionError:
+            pass  # a reset ends the connection like EOF does
+        finally:
+            for queue in self._queues.values():
+                queue.put_nowait(None)
 
     async def _send(self, payload: Dict[str, Any]) -> str:
+        if self._reader_task.done():
+            raise ConnectionError("service connection is closed")
         self._counter += 1
         tag = f"c{self._counter:06d}"
         payload = {"id": tag, **payload}
@@ -94,12 +104,15 @@ class ServiceClient:
 
         Intermediate events (``accepted``, ``queued``, ``running``,
         ``progress`` -- the latter three only with ``"stream": true``
-        in the payload) are passed to ``on_event`` when given.
+        in the payload) are passed to ``on_event`` when given.  Raises
+        :class:`ConnectionError` once the connection is lost.
         """
         tag = await self._send(payload)
         try:
             while True:
                 event = await self._queues[tag].get()
+                if event is None:
+                    raise ConnectionError("service connection lost")
                 if event.get("event") in _FINAL_EVENTS:
                     return event
                 if on_event is not None:
@@ -111,7 +124,10 @@ class ServiceClient:
         """Send a single-reply control op (ping/stats/job/cancel/shutdown)."""
         tag = await self._send(payload)
         try:
-            return await self._queues[tag].get()
+            reply = await self._queues[tag].get()
+            if reply is None:
+                raise ConnectionError("service connection lost")
+            return reply
         finally:
             del self._queues[tag]
 
@@ -128,14 +144,3 @@ class ServiceClient:
 
     async def shutdown(self) -> None:
         await self.control({"op": "shutdown"})
-
-
-async def gather_requests(
-    client: ServiceClient, payloads: List[Dict[str, Any]]
-) -> List[Dict[str, Any]]:
-    """Fire many requests concurrently over one connection."""
-    return list(
-        await asyncio.gather(
-            *(client.request(payload) for payload in payloads)
-        )
-    )

@@ -31,7 +31,6 @@ from repro.vpec.full import full_vpec_networks, invert_spd
 from repro.vpec.passivity import (
     PassivityReport,
     audit_network,
-    audit_networks,
     diagonal_dominance_margin,
     is_positive_definite,
     is_strictly_diagonally_dominant,
@@ -76,7 +75,6 @@ __all__ = [
     "MERGE_RULES",
     "PassivityReport",
     "audit_network",
-    "audit_networks",
     "is_symmetric",
     "is_positive_definite",
     "is_strictly_diagonally_dominant",

@@ -17,7 +17,6 @@ over random geometries) and are available to users as a model audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -92,8 +91,3 @@ def audit_network(network: VpecNetwork) -> PassivityReport:
         and bool(np.all(ground > 0.0)),
         min_ground_conductance=float(np.min(ground)) if ground.size else 0.0,
     )
-
-
-def audit_networks(networks: List[VpecNetwork]) -> List[PassivityReport]:
-    """Audit every per-direction network of a model."""
-    return [audit_network(network) for network in networks]

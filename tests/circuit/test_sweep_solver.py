@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
 
-from repro.circuit.ac import SweepSolver, _expand_onto, ac_analysis
-from repro.circuit.adaptive import adaptive_transient_analysis
+from repro.circuit.ac import SweepSolver, _expand_onto
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import ac_unit, step
 from repro.circuit.transient import transient_analysis
@@ -101,22 +100,8 @@ class TestSweepSolver:
         assert np.allclose(x, expected)
 
 
-def _fixed_step(circuit, **probes):
-    return transient_analysis(circuit, 2e-12, 1e-12, **probes)
-
-
-def _adaptive(circuit, **probes):
-    result, _ = adaptive_transient_analysis(circuit, 2e-12, 1e-12, **probes)
-    return result
-
-
-_ENGINES = pytest.mark.parametrize(
-    "engine", [_fixed_step, _adaptive], ids=["step", "adaptive"]
-)
-
-
 class TestLargeSystemProbeGuard:
-    """The > 3000-unknown default-probe guard, shared by both engines."""
+    """The > 3000-unknown default-probe guard of the transient march."""
 
     @pytest.fixture(scope="class")
     def big_circuit(self):
@@ -132,14 +117,14 @@ class TestLargeSystemProbeGuard:
         circuit.add_resistor(nodes[-1], "0", 1.0, name="Rterm")
         return circuit
 
-    @_ENGINES
-    def test_probe_branches_alone_is_enough(self, big_circuit, engine):
-        result = engine(big_circuit, probe_branches=["V1"])
+    def test_probe_branches_alone_is_enough(self, big_circuit):
+        result = transient_analysis(
+            big_circuit, 2e-12, 1e-12, probe_branches=["V1"]
+        )
         assert result.current("V1").v.shape == (3,)
         with pytest.raises(KeyError):
             result.voltage("n1")  # node probes defaulted to none
 
-    @_ENGINES
-    def test_unbounded_probes_error_names_the_option(self, big_circuit, engine):
+    def test_unbounded_probes_error_names_the_option(self, big_circuit):
         with pytest.raises(ValueError, match="probe_nodes"):
-            engine(big_circuit)
+            transient_analysis(big_circuit, 2e-12, 1e-12)

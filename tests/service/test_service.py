@@ -585,3 +585,48 @@ class TestTcpProtocol:
         assert bad["event"] == "error"
         assert invalid["event"] == "error"
         assert alive["event"] == "pong", "connection survives bad input"
+
+    @staticmethod
+    async def _dropping_server():
+        """A server that reads one request line, then hangs up."""
+
+        async def handle(reader, writer):
+            await reader.readline()
+            writer.close()
+            await writer.wait_closed()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        return server, host, port
+
+    def test_pending_request_raises_when_the_server_hangs_up(self):
+        async def main():
+            server, host, port = await self._dropping_server()
+            try:
+                async with await ServiceClient.connect(host, port) as client:
+                    with pytest.raises(ConnectionError):
+                        await asyncio.wait_for(
+                            client.request(NOISE.to_dict()), 5.0
+                        )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(main())
+
+    def test_request_after_the_hang_up_raises_at_once(self):
+        async def main():
+            server, host, port = await self._dropping_server()
+            try:
+                async with await ServiceClient.connect(host, port) as client:
+                    with pytest.raises(ConnectionError):
+                        await asyncio.wait_for(client.ping(), 5.0)
+                    with pytest.raises(ConnectionError):
+                        await asyncio.wait_for(
+                            client.request(NOISE.to_dict()), 1.0
+                        )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(main())

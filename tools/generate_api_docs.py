@@ -27,7 +27,6 @@ PACKAGES = [
     "repro.vpec",
     "repro.kelement",
     "repro.baselines",
-    "repro.mor",
     "repro.analysis",
     "repro.noise",
     "repro.health",
