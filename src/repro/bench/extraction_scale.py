@@ -182,11 +182,11 @@ def _extract_checksum(parasitics: Parasitics) -> str:
     )
 
 
-def _window_solve(parasitics: Parasitics, solver: str = "direct"):
+def _window_solve(parasitics: Parasitics):
     sparse_inverses = []
     for indices, block in parasitics.inductance_blocks.values():
         windows = geometric_windows(parasitics.system, indices, _WINDOW)
-        sparse_inverses.append(windowed_inverse(block, windows, solver=solver))
+        sparse_inverses.append(windowed_inverse(block, windows))
     return sparse_inverses
 
 
@@ -224,9 +224,7 @@ def run_extraction_scale_suite(
     parallel build).  ``jobs_ladder`` selects the worker counts of the
     ``parallel_assembly_scale`` kernel, which re-runs the hierarchical
     extraction once per count and asserts every rung reproduces the
-    serial checksum -- the worker-scaling curve of the trajectory.  The
-    iterative window-solve variant (``hierarchical-iterative``) rides
-    along whenever the window kernel is selected.
+    serial checksum -- the worker-scaling curve of the trajectory.
     """
     selected = tuple(kernels) if kernels is not None else SCALE_KERNELS
     unknown = set(selected) - set(SCALE_KERNELS)
@@ -267,27 +265,22 @@ def run_extraction_scale_suite(
                     )
                 )
             if "window_solve_scale" in selected:
-                solvers = ["direct"]
-                if variant == "hierarchical":
-                    solvers.append("iterative")
-                for solver in solvers:
-                    label = variant if solver == "direct" else f"{variant}-{solver}"
-                    seconds, peak, inverses = _timed_peak(
-                        lambda: _window_solve(parasitics, solver=solver)
+                seconds, peak, inverses = _timed_peak(
+                    lambda: _window_solve(parasitics)
+                )
+                results.append(
+                    BenchResult(
+                        kernel="window_solve_scale",
+                        variant=variant,
+                        size=n,
+                        seconds=seconds,
+                        checksum=array_checksum(
+                            *(s.diagonal() for s in inverses),
+                            *(s.data for s in inverses),
+                        ),
+                        peak_bytes=peak,
                     )
-                    results.append(
-                        BenchResult(
-                            kernel="window_solve_scale",
-                            variant=label,
-                            size=n,
-                            seconds=seconds,
-                            checksum=array_checksum(
-                                *(s.diagonal() for s in inverses),
-                                *(s.data for s in inverses),
-                            ),
-                            peak_bytes=peak,
-                        )
-                    )
+                )
             if "noise_scan_scale" in selected and (
                 variant == "hierarchical" or n <= _DENSE_SCAN_LIMIT
             ):

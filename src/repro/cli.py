@@ -100,13 +100,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
         "--threshold", type=float, default=0.0, help="nt/nw: coupling threshold"
     )
     parser.add_argument("--window", type=int, default=0, help="gw: window size b")
-    parser.add_argument(
-        "--solver",
-        choices=["direct", "iterative"],
-        default="direct",
-        help="gw/nw window-solve backend: batched direct solves or "
-        "Jacobi-preconditioned CG with a direct holdout fallback",
-    )
 
 
 def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
@@ -225,7 +218,6 @@ def _model_spec(args: argparse.Namespace) -> ModelSpec:
             nl=args.nl,
             threshold=args.threshold,
             window=args.window,
-            solver=getattr(args, "solver", "direct"),
         )
     except ValueError as error:
         raise _UsageError(str(error)) from None
@@ -1203,8 +1195,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     Numerical failures surface as the typed taxonomy of
     :mod:`repro.health.errors` and exit with code 2 -- a bare traceback
     from deep inside a solve never reaches the terminal.  So do flag
-    combinations no model accepts (e.g. ``--solver iterative`` on a
-    non-windowed ``--model``).
+    combinations no model accepts (e.g. ``--model gw`` without a
+    ``--window``).
     """
     parser = build_parser()
     args = parser.parse_args(argv)

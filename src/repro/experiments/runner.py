@@ -53,11 +53,12 @@ class ModelSpec:
     numerical truncation), ``gw``/``nw`` (geometric / numerical
     windowing).
 
-    ``solver`` selects the window-solve backend of the windowed kinds
-    (``"direct"`` or ``"iterative"``, see
-    :func:`repro.vpec.windowing.windowed_inverse`); it participates in
-    :func:`model_key` like every other spec field, so direct- and
-    iterative-built models cache separately.
+    ``solver`` has one value, ``"direct"``: every window solve runs the
+    batched LAPACK path of :func:`repro.vpec.windowing.windowed_inverse`.
+    The field stays because :func:`model_key` and
+    :meth:`repro.service.jobs.JobRequest.key` hash every spec field by
+    name, so dropping it would move every model and request key; it
+    goes when the service's request digests are next re-recorded.
     """
 
     kind: str
@@ -76,14 +77,8 @@ class ModelSpec:
             raise ValueError("gw needs window >= 1")
         if self.kind in ("nt", "nw") and self.threshold <= 0:
             raise ValueError(f"{self.kind} needs a positive threshold")
-        if self.solver not in ("direct", "iterative"):
-            raise ValueError(
-                f"solver must be 'direct' or 'iterative', got {self.solver!r}"
-            )
-        if self.solver != "direct" and self.kind not in ("gw", "nw"):
-            raise ValueError(
-                "iterative solves apply to windowed kinds (gw/nw) only"
-            )
+        if self.solver != "direct":
+            raise ValueError(f"solver must be 'direct', got {self.solver!r}")
 
     @property
     def label(self) -> str:
@@ -120,12 +115,12 @@ def nt_spec(threshold: float) -> ModelSpec:
     return ModelSpec("nt", threshold=threshold)
 
 
-def gw_spec(window: int, solver: str = "direct") -> ModelSpec:
-    return ModelSpec("gw", window=window, solver=solver)
+def gw_spec(window: int) -> ModelSpec:
+    return ModelSpec("gw", window=window)
 
 
-def nw_spec(threshold: float, solver: str = "direct") -> ModelSpec:
-    return ModelSpec("nw", threshold=threshold, solver=solver)
+def nw_spec(threshold: float) -> ModelSpec:
+    return ModelSpec("nw", threshold=threshold)
 
 
 @dataclass
@@ -223,13 +218,9 @@ def build_vpec(spec: ModelSpec, parasitics: Parasitics) -> VpecBuildResult:
     if spec.kind == "nt":
         return truncated_vpec(parasitics, threshold=spec.threshold)
     if spec.kind == "gw":
-        return windowed_vpec(
-            parasitics, window_size=spec.window, solver=spec.solver
-        )
+        return windowed_vpec(parasitics, window_size=spec.window)
     if spec.kind == "nw":
-        return windowed_vpec(
-            parasitics, threshold=spec.threshold, solver=spec.solver
-        )
+        return windowed_vpec(parasitics, threshold=spec.threshold)
     raise ValueError(f"{spec.label} has no VPEC flow")
 
 

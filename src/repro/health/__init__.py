@@ -15,9 +15,6 @@ non-finite waveforms) escaping from deep inside an experiment run.
 - :mod:`repro.health.solvers` -- the escalation chains (fast direct
   path -> Tikhonov-regularized retry -> iterative / spectral last
   resort) governed by an explicit :class:`FallbackPolicy`;
-- :mod:`repro.health.iterative` -- batched Jacobi-preconditioned CG
-  over wVPEC window stacks, with residual certification and direct
-  holdout fallbacks;
 - :mod:`repro.health.faults` -- deterministic fault injection proving
   in tests and CI that every degradation path actually fires.
 """
@@ -46,7 +43,6 @@ from repro.health.faults import (
     inject_nan,
     rank_deficient,
 )
-from repro.health.iterative import WINDOW_CG_RTOL, stacked_jacobi_cg
 from repro.health.solvers import (
     DEFAULT_POLICY,
     STRICT_POLICY,
@@ -84,8 +80,6 @@ __all__ = [
     "factorize",
     "require_finite",
     "ResilientFactor",
-    "WINDOW_CG_RTOL",
-    "stacked_jacobi_cg",
     "FAULT_KINDS",
     "rank_deficient",
     "flip_mutual_signs",

@@ -295,23 +295,17 @@ def attach_quiet_bus_testbench(
 ) -> None:
     """All-quiet bus testbench with one *named* source per wire.
 
-    Unlike :func:`attach_multi_aggressor_testbench`, every wire --
-    including quiet ones -- gets a ``Vdrv{wire}`` source (holding 0 V)
-    behind ``Rd``, so a ``transient_analysis_multi`` scenario can turn
-    any subset of drivers into aggressors by overriding their stimuli.
+    :func:`attach_multi_aggressor_testbench` with every wire driven at
+    0 V: each wire gets a ``Vdrv{wire}`` source behind ``Rd``, so a
+    ``transient_analysis_multi`` scenario can turn any subset of
+    drivers into aggressors by overriding their stimuli.
     """
-    for wire, ports in skeleton.ports.items():
-        source_node = f"drv{wire}"
-        skeleton.circuit.add_voltage_source(
-            source_node, "0", dc(0.0), name=f"Vdrv{wire}"
-        )
-        skeleton.circuit.add_resistor(
-            source_node, ports.near, driver_resistance, name=f"Rd{wire}"
-        )
-        if load_capacitance > 0:
-            skeleton.circuit.add_capacitor(
-                ports.far, "0", load_capacitance, name=f"CL{wire}"
-            )
+    attach_multi_aggressor_testbench(
+        skeleton,
+        dict.fromkeys(skeleton.ports, dc(0.0)),
+        driver_resistance,
+        load_capacitance,
+    )
 
 
 def _launch_time(t_star: float, window: Window) -> float:

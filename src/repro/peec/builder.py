@@ -393,25 +393,9 @@ def attach_bus_testbench(
     every other wire is quiet (its driver holds it low through ``Rd``);
     every far end carries the ``CL = 10 fF`` receiver load.
     """
-    if aggressor not in skeleton.ports:
-        raise ValueError(f"wire {aggressor} does not exist")
-    for wire, ports in skeleton.ports.items():
-        if wire == aggressor:
-            source_node = f"drv{wire}"
-            skeleton.circuit.add_voltage_source(
-                source_node, "0", stimulus, name=f"Vdrv{wire}"
-            )
-            skeleton.circuit.add_resistor(
-                source_node, ports.near, driver_resistance, name=f"Rd{wire}"
-            )
-        else:
-            skeleton.circuit.add_resistor(
-                ports.near, "0", driver_resistance, name=f"Rd{wire}"
-            )
-        if load_capacitance > 0:
-            skeleton.circuit.add_capacitor(
-                ports.far, "0", load_capacitance, name=f"CL{wire}"
-            )
+    attach_multi_aggressor_testbench(
+        skeleton, {aggressor: stimulus}, driver_resistance, load_capacitance
+    )
 
 
 def attach_multi_aggressor_testbench(

@@ -55,6 +55,16 @@ class JobCancelledError(Exception):
     """Raised inside the execution path when a job's cancel flag is set."""
 
 
+def _section(payload: Any, name: str) -> Mapping[str, Any]:
+    """``payload`` itself, or ``TypeError`` naming a section that is not
+    a JSON object."""
+    if not isinstance(payload, Mapping):
+        raise TypeError(
+            f"{name} must be an object, got {type(payload).__name__}"
+        )
+    return payload
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
     """A serializable geometry request.
@@ -95,6 +105,7 @@ class GeometrySpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "GeometrySpec":
+        payload = _section(payload, "geometry")
         return cls(
             kind=str(payload["kind"]),
             size=int(payload["size"]),
@@ -117,6 +128,7 @@ class SimParams:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SimParams":
+        payload = _section(payload, "sim")
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in known})
 
@@ -126,6 +138,7 @@ def model_spec_to_dict(spec: ModelSpec) -> Dict[str, Any]:
 
 
 def model_spec_from_dict(payload: Mapping[str, Any]) -> ModelSpec:
+    payload = _section(payload, "model")
     known = {f.name for f in dataclasses.fields(ModelSpec)}
     return ModelSpec(**{k: v for k, v in payload.items() if k in known})
 
@@ -135,6 +148,7 @@ def noise_config_to_dict(config: NoiseConfig) -> Dict[str, Any]:
 
 
 def noise_config_from_dict(payload: Mapping[str, Any]) -> NoiseConfig:
+    payload = _section(payload, "noise config")
     known = {f.name for f in dataclasses.fields(NoiseConfig)}
     kwargs = {k: v for k, v in payload.items() if k in known}
     # The nested receiver / envelope sections arrive as plain dicts
@@ -174,6 +188,7 @@ def sweep_grid_to_dict(grid: SweepGrid) -> Dict[str, Any]:
 
 
 def sweep_grid_from_dict(payload: Mapping[str, Any]) -> SweepGrid:
+    payload = _section(payload, "sweep")
     kwargs: Dict[str, Any] = {}
     for axis, kind in (
         ("topologies", str),

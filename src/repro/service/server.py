@@ -720,6 +720,15 @@ class ServiceServer:
         except json.JSONDecodeError as error:
             await send({"event": "error", "message": f"bad json: {error}"})
             return
+        if not isinstance(message, dict):
+            await send(
+                {
+                    "event": "error",
+                    "message": "a request must be a JSON object, "
+                    f"got {type(message).__name__}",
+                }
+            )
+            return
         tag = message.get("id")
 
         def tagged(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -119,14 +119,11 @@ def windowed_vpec(
     window_size: int = 0,
     threshold: float = 0.0,
     policy: Optional[FallbackPolicy] = None,
-    solver: str = "direct",
 ) -> VpecBuildResult:
     """The wVPEC model (Section V): windowed sparse approximate inverse.
 
     Pass ``window_size`` (> 0) for geometric windowing or ``threshold``
-    (> 0) for numerical windowing -- exactly one of the two.  ``solver``
-    selects the window-solve backend (see
-    :func:`repro.vpec.windowing.windowed_inverse`).
+    (> 0) for numerical windowing -- exactly one of the two.
     """
     start = time.perf_counter()
     with stage("sparsify"):
@@ -135,7 +132,6 @@ def windowed_vpec(
             window_size=window_size,
             threshold=threshold,
             policy=policy,
-            solver=solver,
         )
     elapsed = time.perf_counter() - start
     flavor = "gwVPEC" if window_size > 0 else "nwVPEC"

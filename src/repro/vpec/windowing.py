@@ -283,14 +283,8 @@ def _dedup_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 #: the ablation benchmark that shows why eq. 18 picks max.
 MERGE_RULES = ("max", "min", "mean")
 
-#: Window-solve backends.  "direct" is the batched LAPACK factorization;
-#: "iterative" runs the Jacobi-preconditioned CG stack of
-#: :func:`repro.health.iterative.stacked_jacobi_cg` first and routes
-#: only non-converged windows to the direct chain.
-WINDOW_SOLVERS = ("direct", "iterative")
 
-
-def _solve_window_stack_direct(
+def _solve_window_stack(
     sub_stack: np.ndarray,
     rhs_stack: np.ndarray,
     policy: FallbackPolicy,
@@ -322,43 +316,6 @@ def _solve_window_stack_direct(
     return solutions
 
 
-def _solve_window_stack(
-    sub_stack: np.ndarray,
-    rhs_stack: np.ndarray,
-    solver: str,
-    policy: FallbackPolicy,
-    aggressors: np.ndarray,
-) -> np.ndarray:
-    """One batch of same-size window systems through the chosen backend.
-
-    The iterative backend never weakens the construction: every CG
-    result is residual-certified, and windows that refuse the tolerance
-    (ill-conditioned or non-SPD stencils) fall through to exactly the
-    direct chain -- so ``solver="iterative"`` changes at most the last
-    few ulp of well-conditioned solutions, never their existence.
-    """
-    if solver == "iterative":
-        from repro.health.iterative import stacked_jacobi_cg
-
-        solutions, converged = stacked_jacobi_cg(sub_stack, rhs_stack)
-        add_counter("window_cg_solves", int(converged.sum()))
-        if converged.all():
-            return solutions
-        add_counter("window_cg_fallbacks", int((~converged).sum()))
-        holdouts = np.flatnonzero(~converged)
-        solutions[holdouts] = _solve_window_stack(
-            sub_stack[holdouts],
-            rhs_stack[holdouts],
-            "direct",
-            policy,
-            aggressors[holdouts],
-        )
-        return solutions
-    return _solve_window_stack_direct(
-        sub_stack, rhs_stack[:, :, None], policy, aggressors[:, None]
-    )[:, :, 0]
-
-
 def _submatrices(block: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """The ``(K, b, b)`` submatrices of a ``(K, b)`` stack of windows.
 
@@ -378,7 +335,6 @@ def _solve_each_window(
     positions: np.ndarray,
     aggressors: np.ndarray,
     dedup: bool,
-    solver: str,
     policy: FallbackPolicy,
 ) -> np.ndarray:
     """One system per window of a same-size stack, in one batched call."""
@@ -409,8 +365,11 @@ def _solve_each_window(
     add_counter("window_solves", solve_rows.size)
     add_counter("window_solve_cubes", solve_rows.size * size**3)
     solutions = _solve_window_stack(
-        subs[solve_rows], rhs[solve_rows], solver, policy, aggressors[solve_rows]
-    )
+        subs[solve_rows],
+        rhs[solve_rows][:, :, None],
+        policy,
+        aggressors[solve_rows][:, None],
+    )[:, :, 0]
     return solutions[inverse]
 
 
@@ -421,18 +380,14 @@ def _solve_shared_window(
     aggressors: np.ndarray,
     policy: FallbackPolicy,
 ) -> np.ndarray:
-    """Every sharer's unit column of one window from one factorization.
-
-    The direct factorization serves every backend: it is the iterative
-    backend's own fallback, so its residual contract still holds.
-    """
+    """Every sharer's unit column of one window from one factorization."""
     count = aggressors.size
     rhs = np.zeros((1, window.size, count))
     rhs[0, positions, np.arange(count)] = 1.0
     add_counter("window_solves")
     add_counter("window_solve_cubes", window.size**3)
     add_counter("window_dedup_hits", count - 1)
-    return _solve_window_stack_direct(
+    return _solve_window_stack(
         _submatrices(block, window[None]), rhs, policy, aggressors[None]
     )[0].T
 
@@ -473,7 +428,6 @@ def windowed_inverse(
     merge: str = "max",
     policy: Optional[FallbackPolicy] = None,
     dedup: bool = True,
-    solver: str = "direct",
 ) -> sparse.csr_matrix:
     """Sparse approximate inverse ``S'`` from per-aggressor window solves.
 
@@ -508,20 +462,9 @@ def windowed_inverse(
     (Tikhonov ridge, then least squares) under ``policy``, one aggressor
     at a time -- non-finite input raises
     :class:`~repro.health.errors.NonFiniteInputError` up front instead.
-
-    ``solver`` selects the backend of the batched solves (see
-    :data:`WINDOW_SOLVERS`); the iterative backend is residual-verified
-    and falls back per window to the direct chain, so it agrees with
-    ``"direct"`` to the CG tolerance on every window and exactly on any
-    window it could not certify.  A shared wide window always takes the
-    direct factorization, the iterative backend's own fallback.
     """
     if merge not in MERGE_RULES:
         raise ValueError(f"merge must be one of {MERGE_RULES}, got {merge!r}")
-    if solver not in WINDOW_SOLVERS:
-        raise ValueError(
-            f"solver must be one of {WINDOW_SOLVERS}, got {solver!r}"
-        )
     if policy is None:
         policy = DEFAULT_POLICY
     if isinstance(block, LazyInductance):
@@ -580,7 +523,6 @@ def windowed_inverse(
                 positions[each],
                 agg[each],
                 dedup,
-                solver,
                 policy,
             )
 
@@ -632,14 +574,13 @@ def windowed_vpec_networks(
     window_size: int = 0,
     threshold: float = 0.0,
     policy: Optional[FallbackPolicy] = None,
-    solver: str = "direct",
 ) -> List[VpecNetwork]:
     """wVPEC networks for every current direction.
 
     Exactly one of ``window_size`` (geometric, > 0) or ``threshold``
     (numerical, > 0) selects the windowing flavor.  ``policy`` governs
-    the fallback chain of the window solves and ``solver`` their
-    backend (see :func:`windowed_inverse`).
+    the fallback chain of the window solves (see
+    :func:`windowed_inverse`).
     """
     if (window_size > 0) == (threshold > 0):
         raise ValueError(
@@ -653,7 +594,7 @@ def windowed_vpec_networks(
             windows = geometric_windows(parasitics.system, indices, window_size)
         else:
             windows = numerical_windows(block, threshold)
-        s_prime = windowed_inverse(block, windows, policy=policy, solver=solver)
+        s_prime = windowed_inverse(block, windows, policy=policy)
         networks.append(
             VpecNetwork.from_inverse(
                 indices=indices,

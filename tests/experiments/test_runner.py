@@ -1,5 +1,7 @@
 """Unit tests for the experiment runner plumbing."""
 
+import dataclasses
+
 import pytest
 
 from repro.circuit.sources import step
@@ -40,22 +42,13 @@ class TestModelSpec:
             ModelSpec("nt")
 
     def test_solver_validation(self):
-        assert gw_spec(8, solver="iterative").solver == "iterative"
-        assert nw_spec(1e-4, solver="iterative").solver == "iterative"
-        with pytest.raises(ValueError, match="solver"):
-            ModelSpec("gw", window=8, solver="magic")
-        # Only the windowed kinds have window solves to route.
-        with pytest.raises(ValueError, match="windowed"):
-            ModelSpec("full", solver="iterative")
-        with pytest.raises(ValueError, match="windowed"):
-            ModelSpec("peec", solver="iterative")
-
-    def test_solver_changes_the_model_key(self, fresh_bus5):
-        from repro.experiments.runner import model_key
-
-        direct = model_key(gw_spec(4), fresh_bus5)
-        iterative = model_key(gw_spec(4, solver="iterative"), fresh_bus5)
-        assert direct != iterative
+        assert gw_spec(8).solver == "direct"
+        assert nw_spec(1e-4).solver == "direct"
+        # One window-solve backend is left, for every kind.
+        for spec in (gw_spec(8), nw_spec(1e-4), full_spec(), peec_spec()):
+            for solver in ("iterative", "magic"):
+                with pytest.raises(ValueError, match="solver must be 'direct'"):
+                    dataclasses.replace(spec, solver=solver)
 
 
 class TestBuildModel:

@@ -187,39 +187,3 @@ class TestDenseHierarchicalTwin:
         dense_peaks = np.array([a.peak for a in dense.alignments])
         hier_peaks = np.array([a.peak for a in hier.alignments])
         np.testing.assert_allclose(hier_peaks, dense_peaks, rtol=1e-8, atol=0)
-
-
-class TestIterativeTransientTwins:
-    """``spec.solver == "iterative"`` builds the model with the CG window
-    backend; the escalated transients still run on the direct chain.
-    Decisions must match the direct scan and peaks agree to 1e-8 on the
-    same parasitics."""
-
-    def test_iterative_scan_matches_direct_decisions(self, bus16_s1):
-        from repro.experiments.runner import gw_spec
-
-        config = NoiseConfig(period=300e-12)
-        direct = run_noise_scan(bus16_s1, spec=gw_spec(8), config=config)
-        with collect() as profile:
-            iterative = run_noise_scan(
-                bus16_s1,
-                spec=gw_spec(8, solver="iterative"),
-                config=config,
-            )
-        assert direct.num_escalated > 0
-        # The windows were solved by CG, the transients by SuperLU with
-        # no GMRES fallback.
-        assert profile.counters["window_cg_solves"] > 0
-        assert profile.counters["solve_lu"] > 0
-        assert "solve_gmres_ilu" not in profile.counters
-        by_wire = {v.wire: v for v in direct.victims}
-        for victim in iterative.victims:
-            twin = by_wire[victim.wire]
-            assert victim.escalated == twin.escalated
-            if victim.escalated:
-                assert victim.sim_peak == pytest.approx(
-                    twin.sim_peak, rel=1e-8
-                )
-        assert [v.wire for v in iterative.failing()] == [
-            v.wire for v in direct.failing()
-        ]

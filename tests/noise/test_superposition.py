@@ -182,7 +182,6 @@ def escalation_items(draw):
     """A simulate item of 1-2 owners with 1-2 victims each."""
     bits = draw(st.integers(min_value=4, max_value=8))
     rise = draw(st.sampled_from([10e-12, 5.5e-12]))
-    solver = draw(st.sampled_from(["direct", "iterative"]))
     config = NoiseConfig(rise_time=rise)
     columns = []
     for owner in range(draw(st.integers(min_value=1, max_value=2))):
@@ -235,7 +234,7 @@ def escalation_items(draw):
     columns.sort(key=lambda c: (c.horizon, c.owner, c.victim))
     item = SimulateItem(
         source=None,
-        spec=gw_spec(4, solver=solver),
+        spec=gw_spec(4),
         config=config,
         columns=tuple(columns),
         wires=bits,

@@ -278,43 +278,6 @@ class TestReceiverThreadsThroughSweep:
         )
 
 
-class TestIterativeTransientTwins:
-    """Sweeps honour ``spec.solver == "iterative"`` exactly as scans do:
-    the sweep twin of the engine's iterative-scan test."""
-
-    def test_iterative_sweep_matches_direct_decisions(self):
-        from repro.experiments.runner import gw_spec
-
-        grid = SweepGrid(
-            widths=(16,),
-            spacings=(1e-6,),
-            base=NoiseConfig(period=300e-12),
-            model=gw_spec(8),
-        )
-        direct = run_sweep(grid, parallel=1, cache=None).results[0].report
-        with collect() as profile:
-            iterative = run_sweep(
-                dataclasses.replace(grid, model=gw_spec(8, solver="iterative")),
-                parallel=1,
-                cache=None,
-            ).results[0].report
-        assert direct.num_escalated > 0
-        # As in the scan twin: CG window solves, direct-chain transients.
-        assert profile.counters["window_cg_solves"] > 0
-        assert profile.counters["solve_lu"] > 0
-        assert "solve_gmres_ilu" not in profile.counters
-        for victim, twin in zip(iterative.victims, direct.victims):
-            assert victim.wire == twin.wire
-            assert victim.escalated == twin.escalated
-            if victim.escalated:
-                assert victim.sim_peak == pytest.approx(
-                    twin.sim_peak, rel=1e-8
-                )
-        assert [v.wire for v in iterative.failing()] == [
-            v.wire for v in direct.failing()
-        ]
-
-
 class TestSweepFamilyVerify:
     """The size-6 bench family's escalations (816-unknown testbenches,
     factorized in SuperLU's symmetric mode) against an independent

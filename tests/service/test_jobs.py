@@ -72,6 +72,16 @@ class TestJobRequest:
             != base.key()
         )
 
+    def test_bus8_noise_key_is_pinned(self):
+        # Request keys hash every ModelSpec field by name, so this key
+        # holds only while ModelSpec keeps its one-value ``solver``
+        # field: dropping the field moves every request key and the
+        # service digests that hash them.
+        request = JobRequest(op="noise", geometry=GeometrySpec("bus", 8))
+        assert request.key() == (
+            "b966aa7d0e381128a298040e115018f0a568fc69c05ab06397e4a54c1bf47b9b"
+        )
+
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):
             JobRequest(op="explode", geometry=GeometrySpec("bus", 4))

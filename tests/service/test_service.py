@@ -1,6 +1,7 @@
 """The analysis service: equivalence, memoization, cancellation, protocol."""
 
 import asyncio
+import json
 import threading
 import time
 
@@ -398,44 +399,6 @@ class TestSweepJobs:
         assert second.memoized is True
         assert second.checksum == first.checksum
 
-    def test_sweep_job_honours_iterative_solver(self, monkeypatch):
-        """A sweep job's model is built with the CG window backend."""
-        from repro.experiments.runner import gw_spec
-        from repro.health import iterative
-
-        calls = []
-        real_cg = iterative.stacked_jacobi_cg
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real_cg(*args, **kwargs)
-
-        monkeypatch.setattr(
-            "repro.health.iterative.stacked_jacobi_cg", spy
-        )
-        request = JobRequest(
-            op="sweep",
-            sweep=SweepGrid(
-                widths=(8,),
-                base=NoiseConfig(threshold_fraction=0.1),
-                model=gw_spec(8, solver="iterative"),
-            ),
-        )
-
-        async def main():
-            service = AnalysisService(_config())
-            try:
-                record = await service.submit(request)
-                return await service.wait(record.id)
-            finally:
-                await service.close()
-
-        final = run(main())
-        assert final.status == "done"
-        assert final.result["scenarios"][0]["num_escalated"] > 0
-        assert calls
-        assert final.checksum == oneshot_result(request)["checksum"]
-
 
 class TestOneNoiseFlow:
     def test_one_scenario_checksum_is_path_independent(self):
@@ -563,8 +526,6 @@ class TestTcpProtocol:
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(b"this is not json\n")
                 await writer.drain()
-                import json
-
                 bad = json.loads(await reader.readline())
                 writer.write(
                     b'{"id": "x", "op": "noise", "geometry":'
@@ -585,6 +546,82 @@ class TestTcpProtocol:
         assert bad["event"] == "error"
         assert invalid["event"] == "error"
         assert alive["event"] == "pong", "connection survives bad input"
+
+    @pytest.mark.parametrize(
+        "line, names",
+        [
+            (b"[1, 2]", "JSON object"),
+            (b"null", "JSON object"),
+            (b"42", "JSON object"),
+            (b'"ping"', "JSON object"),
+            (
+                b'{"op": "noise", "geometry": {"kind": "bus", "size": 4},'
+                b' "noise": [1]}',
+                "noise config",
+            ),
+            (
+                b'{"op": "noise", "geometry": {"kind": "bus", "size": 4},'
+                b' "model": [1]}',
+                "model",
+            ),
+            (
+                b'{"op": "simulate", "geometry": {"kind": "bus", "size": 4},'
+                b' "sim": 5}',
+                "sim",
+            ),
+            (
+                b'{"op": "sweep", "sweep": {"widths": [8], "base": [1]}}',
+                "noise config",
+            ),
+            (
+                b'{"op": "sweep", "sweep": {"widths": [8], "model": [1]}}',
+                "model",
+            ),
+            (
+                b'{"op": "noise", "geometry": {"kind": "bus", "size": 4},'
+                b' "model": {"kind": "gw", "window": 4, "solver": "iterative"}}',
+                "solver",
+            ),
+        ],
+        ids=[
+            "list",
+            "null",
+            "number",
+            "string",
+            "noise",
+            "model",
+            "sim",
+            "sweep-base",
+            "sweep-model",
+            "iterative-solver",
+        ],
+    )
+    def test_malformed_line_gets_one_error(self, line, names):
+        """One ``error`` reply naming what is wrong, within 5 s; a second
+        reply to the line would arrive before the pong that follows."""
+
+        async def main():
+            service = AnalysisService(_config())
+            server = ServiceServer(service, "127.0.0.1", 0)
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                replies = []
+                for payload in (line, b'{"op": "ping"}'):
+                    writer.write(payload + b"\n")
+                    await writer.drain()
+                    reply = await asyncio.wait_for(reader.readline(), 5.0)
+                    replies.append(json.loads(reply))
+                writer.close()
+                await writer.wait_closed()
+                return replies
+            finally:
+                await server.close()
+
+        error, pong = run(main())
+        assert error["event"] == "error"
+        assert names in error["message"]
+        assert pong["event"] == "pong"
 
     @staticmethod
     async def _dropping_server():

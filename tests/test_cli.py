@@ -37,10 +37,8 @@ class TestNetlist:
         assert "Rc0_1" in out  # coupling resistance
         assert "Ev0" in out  # controlled source
 
-    def test_solver_on_unwindowed_model_is_a_usage_error(self, capsys):
-        code = main(
-            ["netlist", "--bus", "4", "--model", "full", "--solver", "iterative"]
-        )
+    def test_gw_without_window_is_a_usage_error(self, capsys):
+        code = main(["netlist", "--bus", "4", "--model", "gw"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -417,30 +415,6 @@ class TestAudit:
         document = json.loads(target.read_text())
         assert document["ok"] is True
         assert any(r["certificate"] for r in document["reports"])
-
-    def test_health_audit_honours_solver(self, tmp_path, capsys):
-        target = tmp_path / "profile.json"
-        code = main(
-            [
-                "audit",
-                "--bus",
-                "16",
-                "--model",
-                "gw",
-                "--window",
-                "8",
-                "--no-cache",
-                "--solver",
-                "iterative",
-                "--health",
-                "--profile",
-                str(target),
-            ]
-        )
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
-        counters = json.loads(target.read_text())["counters"]
-        assert counters["window_cg_solves"] > 0
 
     def test_health_spiral_without_strict_signs(self, capsys):
         # A spiral's exact inverse carries positive coupling resistances,

@@ -373,14 +373,6 @@ class TestSharedWindows:
         )
         assert np.array_equal(shared != 0, separate != 0)
 
-    def test_iterative_backend_takes_the_factorization(self, sweep6):
-        block, windows = _sweep_windows(sweep6)
-        with collect() as profile:
-            iterative = windowed_inverse(block, windows, solver="iterative")
-        assert "window_cg_solves" not in profile.counters
-        direct = windowed_inverse(block, windows)
-        assert (iterative != direct).nnz == 0
-
     def test_singular_shared_window_falls_back_per_aggressor(self, sweep6):
         block, windows = _sweep_windows(sweep6)
         # Filament 1 duplicates filament 0: the shared window is singular.
@@ -448,62 +440,3 @@ class TestWindowedNetworks:
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] < 1e-6
 
-
-class TestIterativeWindowSolver:
-    """The CG backend: residual-certified, per-window direct fallback."""
-
-    def _windows(self, parasitics, size=4):
-        indices, block = parasitics.inductance_blocks[
-            next(iter(parasitics.inductance_blocks))
-        ]
-        return block, geometric_windows(parasitics.system, indices, size)
-
-    def test_agrees_with_direct_within_cg_tolerance(self, nonaligned16):
-        from repro.pipeline.profiling import collect
-
-        block, windows = self._windows(nonaligned16)
-        direct = windowed_inverse(block, windows, solver="direct")
-        with collect() as profile:
-            iterative = windowed_inverse(block, windows, solver="iterative")
-        assert profile.counters["window_cg_solves"] >= 1
-        assert profile.counters.get("window_cg_fallbacks", 0) == 0
-        dense_direct = direct.toarray()
-        np.testing.assert_allclose(
-            iterative.toarray(), dense_direct, rtol=0,
-            atol=1e-8 * np.abs(dense_direct).max(),
-        )
-        # Identical sparsity: the backend changes values at CG-tolerance
-        # level, never the window structure.
-        assert np.array_equal(
-            (iterative.toarray() != 0), (dense_direct != 0)
-        )
-
-    def test_unconverged_windows_fall_back_to_direct(
-        self, nonaligned16, monkeypatch
-    ):
-        import repro.health.iterative as iterative_mod
-        from repro.pipeline.profiling import collect
-
-        real = iterative_mod.stacked_jacobi_cg
-
-        def starving(a_stack, b_stack, **kwargs):
-            x, converged = real(a_stack, b_stack, **kwargs)
-            converged = converged.copy()
-            converged[::2] = False  # disown every other window
-            return x, converged
-
-        monkeypatch.setattr(iterative_mod, "stacked_jacobi_cg", starving)
-        block, windows = self._windows(nonaligned16)
-        with collect() as profile:
-            patched = windowed_inverse(block, windows, solver="iterative")
-        assert profile.counters["window_cg_fallbacks"] >= 1
-        direct = windowed_inverse(block, windows, solver="direct")
-        np.testing.assert_allclose(
-            patched.toarray(), direct.toarray(), rtol=0,
-            atol=1e-8 * np.abs(direct.toarray()).max(),
-        )
-
-    def test_unknown_solver_rejected(self, bus5):
-        block, windows = self._windows(bus5, size=3)
-        with pytest.raises(ValueError, match="solver"):
-            windowed_inverse(block, windows, solver="conjugate")
