@@ -20,6 +20,9 @@ little more than its bare product and back-substitution.
 ``test_symmetric_factor_halves_the_sweep_step`` gates the solve itself
 on the sweep family's testbench: the chain's symmetric-mode factor
 against COLAMD with partial pivoting.
+``test_sweep_march_step_costs_about_its_solve`` gates the rest of that
+testbench's step: the trapezoidal history multiplies ``C`` alone, so
+the dense effective-resistance block of ``G`` never enters the step.
 """
 
 import time
@@ -219,3 +222,82 @@ def test_symmetric_factor_halves_the_sweep_step(report):
         ),
     )
     assert ratio <= SYMMETRIC_SOLVE_RATIO
+
+
+#: Ceiling of a ``sweep_family`` march -- 361 six-column trapezoidal
+#: steps on :func:`sweep_grid`'s testbench, set-up included -- over 362
+#: bare six-column solves on the chain's factor of its left-hand side,
+#: best of 5 each, interleaved (2-CPU Xeon, one BLAS thread, a busy
+#: shared host).  Over seven alternating runs the C-only march read
+#: 0.99-1.57 (median 1.19) and the march whose history was ``2C/h - G``
+#: (107 920 nonzeros of ``G`` against 1 286 of ``C``, ~0.5 ms a step)
+#: read 1.31-1.80 (median 1.53): the ceiling fails a return of ``G`` to
+#: the step.
+SWEEP_MARCH_RATIO = 1.4
+
+
+def test_sweep_march_step_costs_about_its_solve(report):
+    """One sign-off's march of :func:`sweep_grid`'s testbench (six
+    unit-ramp columns, all far ends probed, 361 steps) against the
+    solves it cannot avoid: its DC start and 361 steps on one factor."""
+    dt = 1e-12
+    grid = sweep_grid()
+    scenario = grid.scenarios()[0]
+    config = scenario.config(grid.base)
+    built = build_model(grid.model, extract(scenario.geometry().build()))
+    attach_quiet_bus_testbench(
+        built.skeleton, config.driver_resistance, config.load_capacitance
+    )
+    ports = built.skeleton.ports
+    wires = sorted(ports)
+    probes = [ports[wire].far for wire in wires]
+    ramp = step(1.0, rise_time=config.rise_time)
+    scenarios = [{f"Vdrv{wire}": ramp} for wire in wires[:SWEEP_COLUMNS]]
+    system = build_mna(built.circuit)
+    chain = factorize(
+        (system.G.tocsc() + (2.0 / dt) * system.C.tocsc()).tocsc(),
+        name="sweep LHS",
+    )
+    block = np.random.default_rng(0).standard_normal(
+        (system.size, SWEEP_COLUMNS)
+    )
+
+    def march():
+        transient_analysis_multi(
+            built.circuit, (SWEEP_STEPS - 1) * dt, dt, scenarios,
+            probe_nodes=probes,
+        )
+
+    def bare():
+        for _ in range(SWEEP_STEPS):
+            chain.solve(block)
+
+    best = {march: float("inf"), bare: float("inf")}
+    for _ in range(5):
+        for run in best:
+            start = time.perf_counter()
+            run()
+            best[run] = min(best[run], time.perf_counter() - start)
+    ratio = best[march] / best[bare]
+    report(
+        "sim_sweep_march_step",
+        format_table(
+            ["metric", "value"],
+            [
+                ["unknowns", system.size],
+                ["G nonzeros", system.G.nnz],
+                ["C nonzeros", system.C.nnz],
+                [
+                    f"march, {SWEEP_STEPS - 1} x {SWEEP_COLUMNS} columns, "
+                    "best of 5 (ms)",
+                    f"{best[march] * 1e3:.1f}",
+                ],
+                [
+                    f"{SWEEP_STEPS} bare solves, best of 5 (ms)",
+                    f"{best[bare] * 1e3:.1f}",
+                ],
+                ["march / bare solves", f"{ratio:.2f}"],
+            ],
+        ),
+    )
+    assert ratio <= SWEEP_MARCH_RATIO

@@ -6,6 +6,16 @@ are::
     trapezoidal:    (G + 2C/h) x_{n+1} = (2C/h - G) x_n + b_n + b_{n+1}
     backward Euler: (G +  C/h) x_{n+1} = (C/h) x_n + b_{n+1}
 
+With ``A = G + 2C/h`` the trapezoidal history ``2C/h - G`` is ``4C/h -
+A``, so the march takes the rule in its C-only form::
+
+    trapezoidal:    x_{n+1} = A^{-1} ((4C/h) x_n + b_n + b_{n+1}) - x_n
+
+and never multiplies by ``G``: on a VPEC model ``G`` carries the
+effective-resistance couplings, which a whole-block window makes dense,
+while ``C`` holds only the capacitors and the unit inductors.  Backward
+Euler's history is already ``C/h``.
+
 The left-hand matrix is constant for a fixed step ``h``, so it is
 factorized once (scipy SuperLU) and reused for every step -- the same
 structural win a production SPICE gets from fixed-timestep regions, and
@@ -118,12 +128,17 @@ def _factorize_step(
     method: str,
     policy: Optional[FallbackPolicy],
 ):
-    """Factorize the constant one-step LHS; return (factor, history op)."""
+    """Factorize the constant one-step LHS; return (factor, history op).
+
+    The history operator multiplies ``C`` alone: ``(4/h) C`` for the
+    trapezoidal rule, whose step then subtracts the state after the
+    solve, and ``(1/h) C`` for backward Euler.
+    """
     g_mat = system.G.tocsc()
     c_mat = system.C.tocsc()
     if method == "trapezoidal":
         c_scaled = (2.0 / dt) * c_mat
-        history = c_scaled - g_mat
+        history = (4.0 / dt) * c_mat
     else:
         c_scaled = (1.0 / dt) * c_mat
         history = c_scaled
@@ -194,9 +209,12 @@ def _march(
     scenario columns, a ``(size, count)`` block sets each column's.
 
     A step is one sparse product, which forms the right-hand side with
-    its source terms (:func:`_source_columns`), one solve, and one
-    probe gather into a time-leading record; each result's waveforms
-    are views of that record.
+    its source terms (:func:`_source_columns`), one solve (less the old
+    state, for the trapezoidal rule), and one probe gather into a
+    time-leading record; each result's waveforms are views of that
+    record.  The state is the only quantity carried from step to step,
+    so a march resumed from it repeats the uninterrupted one's
+    arithmetic.
     """
     if t_stop <= 0 or dt <= 0:
         raise ValueError("t_stop and dt must be positive")
@@ -247,7 +265,8 @@ def _march(
     record = np.empty((len(times), len(probe_rows), count))
     with stage("solve"):
         lhs, history = _factorize_step(system, dt, method, policy)
-        terms = 2 if method == "trapezoidal" else 1
+        trapezoidal = method == "trapezoidal"
+        terms = 2 if trapezoidal else 1
         step_op = _source_columns(history, rows, terms)
         # [x; b[n-1]; b[n]] (backward Euler: [x; b[n]]): step_op @ operand
         # is history @ x with b added on the source rows, in that order.
@@ -258,7 +277,11 @@ def _march(
         _record_block(record, 0, state, probe_rows)
         for n in range(1, len(times)):
             sources[...] = b_all[n + 1 - terms: n + 1].reshape(-1, count)
-            state[...] = lhs.solve(step_op @ operand)
+            solved = lhs.solve(step_op @ operand)
+            if trapezoidal:
+                np.subtract(solved, state, out=state)
+            else:
+                state[...] = solved
             _record_block(record, n, state, probe_rows)
         add_counter("transient_steps", (steps - start) * count)
     # A ground probe (row -1) gathered some other row; it reads zero.

@@ -128,9 +128,26 @@ class SimParams:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SimParams":
+        """Read the fields a payload names; a value of the wrong JSON
+        type (a non-integer aggressor, a non-number physics value, any
+        boolean) raises ``TypeError`` naming its field.  Values are
+        kept as sent, so a request's key is that of its payload."""
         payload = _section(payload, "sim")
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        kwargs: Dict[str, Any] = {}
+        for spec in dataclasses.fields(cls):
+            if spec.name not in payload:
+                continue
+            value = payload[spec.name]
+            whole = spec.name == "aggressor"
+            kinds = (int,) if whole else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(
+                    f"sim.{spec.name} must be "
+                    f"{'an integer' if whole else 'a number'}, "
+                    f"got {type(value).__name__}"
+                )
+            kwargs[spec.name] = value
+        return cls(**kwargs)
 
 
 def model_spec_to_dict(spec: ModelSpec) -> Dict[str, Any]:
@@ -152,7 +169,14 @@ def noise_config_from_dict(payload: Mapping[str, Any]) -> NoiseConfig:
     known = {f.name for f in dataclasses.fields(NoiseConfig)}
     kwargs = {k: v for k, v in payload.items() if k in known}
     # The nested receiver / envelope sections arrive as plain dicts
-    # after a JSON round trip; rebuild the frozen dataclasses.
+    # after a JSON round trip (or null); rebuild the frozen dataclasses.
+    for name in ("receiver", "envelope"):
+        value = kwargs.get(name)
+        if value is not None and not isinstance(value, Mapping):
+            raise TypeError(
+                f"noise.{name} must be null or an object, "
+                f"got {type(value).__name__}"
+            )
     receiver = kwargs.get("receiver")
     if isinstance(receiver, Mapping):
         kwargs["receiver"] = ReceiverModel(
@@ -286,7 +310,14 @@ class JobRequest:
         if "noise" in payload:
             kwargs["noise"] = noise_config_from_dict(payload["noise"])
         if "verify" in payload:
-            kwargs["verify"] = bool(payload["verify"])
+            # Only a JSON boolean: bool("false") would queue a verifying
+            # job under another key.
+            verify = payload["verify"]
+            if not isinstance(verify, bool):
+                raise TypeError(
+                    f"verify must be a boolean, got {type(verify).__name__}"
+                )
+            kwargs["verify"] = verify
         if payload.get("sweep") is not None:
             kwargs["sweep"] = sweep_grid_from_dict(payload["sweep"])
         return cls(**kwargs)

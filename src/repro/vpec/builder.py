@@ -167,27 +167,31 @@ def _stamp_vpec(
         names=[f"Lu{index}" for index in range(count)],
     )
 
+    # Coupling node names come from the m_nodes table and element names
+    # are formatted from Python ints (.tolist()): a numpy integer scalar
+    # formats several times slower, and a whole-block window stamps
+    # tens of thousands of couplings.
     coupling_count = 0
     for network in networks:
         indices = np.asarray(network.indices, dtype=int)
         ground = np.asarray(network.ground_conductances(), dtype=float)
         keep = np.flatnonzero(ground > _MIN_GROUND_CONDUCTANCE)
         if keep.size:
-            kept = indices[keep]
+            kept = indices[keep].tolist()
             circuit.add_resistor_array(
-                [f"m{i}" for i in kept],
+                [m_nodes[i] for i in kept],
                 ["0"] * len(kept),
                 1.0 / ground[keep],
                 names=[f"Rg{i}" for i in kept],
             )
         rows, cols, ghat_ab = network.coupling_arrays()
         if rows.size:
-            i_arr, j_arr = indices[rows], indices[cols]
+            i_list, j_list = indices[rows].tolist(), indices[cols].tolist()
             circuit.add_resistor_array(
-                [f"m{i}" for i in i_arr],
-                [f"m{j}" for j in j_arr],
+                [m_nodes[i] for i in i_list],
+                [m_nodes[j] for j in j_list],
                 -1.0 / ghat_ab,
-                names=[f"Rc{i}_{j}" for i, j in zip(i_arr, j_arr)],
+                names=[f"Rc{i}_{j}" for i, j in zip(i_list, j_list)],
             )
         coupling_count += int(rows.size)
 

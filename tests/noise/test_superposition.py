@@ -12,7 +12,7 @@ owner's horizon.  Hypothesis draws bus widths, integer and fractional
 plan's source shards and the window-solve backend; superposed peaks and
 areas must match the oracle to 5e-9 relative, the march's own rounding
 floor with headroom (the largest deviation over 5 000 random draws was
-1.4e-9).  A complete response
+2.1e-9).  A complete response
 entry -- every wire marched and probed, as the service retains it --
 must give exactly the throwaway entry's metrics.
 
@@ -266,8 +266,10 @@ def _rounding_draw():
 
 
 #: Superposition against the per-victim march, relative: the largest
-#: deviation over 5 000 random draws of ``escalation_items`` (seeds 1-6)
-#: was 1.4e-9 on peaks and 2.6e-10 on areas, all of it rounding.
+#: deviation over 5 000 random draws of ``escalation_items`` (seeds 1-5)
+#: was 2.1e-9 on peaks and 4.2e-10 on areas, all of it rounding (1.3e-9
+#: and 3.5e-10 on the same draws when the trapezoidal history was
+#: ``2C/h - G``).
 ORACLE_RTOL = 5e-9
 
 

@@ -102,6 +102,72 @@ class TestJobRequest:
             )
 
 
+class TestMalformedValues:
+    """A value of the wrong JSON type is rejected with a ``TypeError``
+    naming its field (the TCP handler answers it with one ``error``
+    event), never coerced and keyed."""
+
+    _NOISE = {"op": "noise", "geometry": {"kind": "bus", "size": 4}}
+    _SIMULATE = {"op": "simulate", "geometry": {"kind": "bus", "size": 4}}
+
+    @pytest.mark.parametrize("verify", ["false", "true", 0, 1, None, [True]])
+    def test_verify_must_be_a_boolean(self, verify):
+        with pytest.raises(TypeError, match="verify"):
+            JobRequest.from_dict({**self._NOISE, "verify": verify})
+
+    @pytest.mark.parametrize(
+        "section, values, field",
+        [
+            ("noise", {"receiver": [1]}, "receiver"),
+            ("noise", {"receiver": "inverter"}, "receiver"),
+            ("noise", {"envelope": 5}, "envelope"),
+            ("noise", {"envelope": [0.5, 0.4]}, "envelope"),
+            ("sim", {"aggressor": "x"}, "aggressor"),
+            ("sim", {"aggressor": 1.0}, "aggressor"),
+            ("sim", {"aggressor": True}, "aggressor"),
+            ("sim", {"vdd": "1.0"}, "vdd"),
+            ("sim", {"rise_time": None}, "rise_time"),
+            ("sim", {"t_stop": [3e-10]}, "t_stop"),
+            ("sim", {"dt": False}, "dt"),
+        ],
+        ids=[
+            "receiver-list",
+            "receiver-string",
+            "envelope-number",
+            "envelope-list",
+            "aggressor-string",
+            "aggressor-float",
+            "aggressor-bool",
+            "vdd-string",
+            "rise_time-null",
+            "t_stop-list",
+            "dt-bool",
+        ],
+    )
+    def test_nested_value_of_the_wrong_type(self, section, values, field):
+        base = self._NOISE if section == "noise" else self._SIMULATE
+        with pytest.raises(TypeError, match=field):
+            JobRequest.from_dict({**base, section: values})
+
+    def test_valid_values_keep_their_keys(self):
+        """Accepted values pass as sent: an integer physics value is not
+        turned into a float, so its request keys as before."""
+        as_sent = JobRequest.from_dict(
+            {**self._SIMULATE, "sim": {"aggressor": 2, "vdd": 1}, "verify": True}
+        )
+        assert as_sent == JobRequest(
+            op="simulate",
+            geometry=GeometrySpec("bus", 4),
+            sim=SimParams(aggressor=2, vdd=1),
+            verify=True,
+        )
+        assert as_sent.sim.vdd == 1 and type(as_sent.sim.vdd) is int
+        quiet = JobRequest.from_dict(
+            {**self._NOISE, "noise": {"receiver": None, "envelope": None}}
+        )
+        assert quiet.key() == JobRequest.from_dict(self._NOISE).key()
+
+
 class TestSweepRequests:
     def _grid(self) -> SweepGrid:
         return SweepGrid(
