@@ -91,20 +91,26 @@ def test_committed_assembly_ratio():
     assert seed.seconds / columnar.seconds >= 10.0
 
 
-#: Ceiling of a march step over a bare ``lu.solve(history @ x)`` step on
-#: the 16-wire, 16-column gw8 testbench, best of 5 each, interleaved
-#: (2-CPU Xeon, one BLAS thread, a busy shared host): the lean march
-#: read 1.24-1.41 (median 1.25, 5 runs), the march before it 1.67-2.00
-#: (median 1.72), so the ceiling fails a return of the per-step glue.
+#: Ceiling of a march step over a bare step of the march's own
+#: trapezoidal recurrence, ``x = lu.solve((4/h) C x) - x`` on the same
+#: factor, on the 16-wire, 16-column gw8 testbench, best of 5 each,
+#: interleaved (2-CPU Xeon, one BLAS thread, a busy shared host).  Over
+#: six alternating runs it read 1.23-1.25 (median 1.24); the bare loop
+#: it replaced, a product with ``2C/h - G`` and no subtraction, read
+#: 1.22-1.25 there (7.6 us a step against 4.8 us for ``(4/h) C`` plus
+#: 1.6 us for the subtraction, beside a 51 us solve).  The march before
+#: the lean one read 1.67-2.00 (median 1.72), so the ceiling fails a
+#: return of the per-step glue.
 MARCH_STEP_RATIO = 1.5
 
 
 def test_march_step_costs_about_one_solve():
     """The escalation's march shape: the gw8 quiet testbench of a 16-wire
     bus, every wire driven by its own unit ramp, over the clock's reach
-    of 3 311 samples.  Every step does one product, one solve and one
-    probe gather; the rest of the march is set-up, amortized here.  The
-    two loops alternate, so a busy stretch of the host slows both."""
+    of 3 311 samples.  Every step does one product, one solve, one
+    subtraction and one probe gather; the rest of the march is set-up,
+    amortized here.  The two loops alternate, so a busy stretch of the
+    host slows both."""
     dt, t_stop = 1e-12, 3310e-12
     steps = int(np.ceil(t_stop / dt))
     built = build_model(gw_spec(8), extract(aligned_bus(16)))
@@ -115,10 +121,9 @@ def test_march_step_costs_about_one_solve():
     scenarios = [{f"Vdrv{wire}": ramp} for wire in sorted(ports)]
 
     system = build_mna(built.circuit)
-    g_mat = system.G.tocsc()
-    c_scaled = (2.0 / dt) * system.C.tocsc()
-    history = c_scaled - g_mat
-    lu = splu((g_mat + c_scaled).tocsc())
+    c_mat = system.C.tocsc()
+    history = (4.0 / dt) * c_mat
+    lu = splu((system.G.tocsc() + (2.0 / dt) * c_mat).tocsc())
 
     def march():
         transient_analysis_multi(
@@ -128,7 +133,7 @@ def test_march_step_costs_about_one_solve():
     def bare():
         x = np.zeros((system.size, len(scenarios)))
         for _ in range(steps):
-            x = lu.solve(history @ x)
+            x = lu.solve(history @ x) - x
 
     best = {march: float("inf"), bare: float("inf")}
     for _ in range(5):

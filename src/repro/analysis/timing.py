@@ -67,7 +67,7 @@ def wire_capacitance(parasitics: Parasitics) -> np.ndarray:
     """Total capacitance seen by each wire (ground plus coupling), farads."""
     system = parasitics.system
     totals = np.zeros(system.num_wires)
-    wire_of = np.array([system[i].wire for i in range(len(system))], dtype=int)
+    wire_of = system.filament_wires()
     np.add.at(totals, wire_of, parasitics.ground_capacitance)
     for (i, j), value in parasitics.coupling_capacitance.items():
         totals[wire_of[i]] += value
@@ -79,7 +79,7 @@ def wire_resistance(parasitics: Parasitics) -> np.ndarray:
     """Total series resistance of each wire, ohms."""
     system = parasitics.system
     totals = np.zeros(system.num_wires)
-    wire_of = np.array([system[i].wire for i in range(len(system))], dtype=int)
+    wire_of = system.filament_wires()
     np.add.at(totals, wire_of, parasitics.resistance)
     return totals
 

@@ -752,7 +752,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the scenario fan-out (default: serial)",
+        help=(
+            "worker processes: the screen stage fans out one item per "
+            "geometry, the simulate stage one per testbench circuit "
+            "(default: CPU count)"
+        ),
     )
     p_sweep.add_argument(
         "--json", metavar="FILE", help="also write the sweep report as JSON"

@@ -60,8 +60,9 @@ class FilamentSystem:
         Human-readable label used in netlist titles.
     """
 
-    #: :meth:`centers`, built on first use.
+    #: :meth:`centers` and :meth:`filament_wires`, built on first use.
     _centers: Optional[np.ndarray] = None
+    _filament_wires: Optional[np.ndarray] = None
 
     def __init__(self, filaments: Iterable[Filament], name: str = "system") -> None:
         self._filaments: List[Filament] = list(filaments)
@@ -108,6 +109,18 @@ class FilamentSystem:
     @property
     def num_wires(self) -> int:
         return len(self._wires)
+
+    def filament_wires(self) -> np.ndarray:
+        """Wire of each filament, shape ``(n,)``, read-only.
+
+        Entry ``i`` is ``self[i].wire``.  The array is built once, on
+        first use, and shared by every later caller.
+        """
+        if self._filament_wires is None:
+            wires = np.array([f.wire for f in self._filaments], dtype=int)
+            wires.flags.writeable = False
+            self._filament_wires = wires
+        return self._filament_wires
 
     def wire_filaments(self, wire: int) -> List[int]:
         """Filament indices of a wire, in series (segment) order."""

@@ -18,8 +18,9 @@ potential aggressor:
    :func:`~repro.circuit.transient.transient_analysis_multi`.
 
 The flow is written once, as a plan over scenarios shaped like the
-hierarchical extractor's plan/execute split: :func:`screen_scenario` is
-one scenario's screen item, :func:`plan_simulations` groups the
+hierarchical extractor's plan/execute split: :func:`screen_scenarios`
+screens scenarios that share one parasitic model (:func:`screen_scenario`
+is its one-scenario call), :func:`plan_simulations` groups the
 escalated columns of many scenarios into one :class:`SimulateItem` per
 testbench circuit, :func:`plan_marches` turns an item into
 :class:`MarchItem` work items that bring a :class:`ResponseEntry` up to
@@ -66,12 +67,13 @@ from repro.constants import DRIVER_RESISTANCE, LOAD_CAPACITANCE, VDD
 from repro.experiments.runner import ModelSpec, build_model, gw_spec
 from repro.extraction.parasitics import Parasitics
 from repro.health import FallbackPolicy
-from repro.analysis.timing import arrival_times
+from repro.analysis.timing import ArrivalTimes, arrival_times
 from repro.noise.receiver import ReceiverModel
 from repro.noise.screening import (
     REFERENCE_RISE_TIME,
     KappaEnvelope,
     ScreenConfig,
+    ScreenEstimates,
     screen_pairs,
 )
 from repro.noise.windows import (
@@ -204,6 +206,8 @@ class NoiseScanReport:
     victims: List[VictimScanResult]
     switching: List[Window]
     build_seconds: float = 0.0
+    #: The screen tier's wall time, with the arrival times and pair
+    #: bounds it was the first scenario of its screen call to use.
     screen_seconds: float = 0.0
     sim_seconds: float = 0.0
 
@@ -367,28 +371,30 @@ class EscalationTierResult:
 
 
 def screen_tier(
-    parasitics: Parasitics,
     config: NoiseConfig,
     switching: Sequence[Window],
+    arrivals: ArrivalTimes,
+    estimates: ScreenEstimates,
 ) -> ScreenTierResult:
     """Tier 1: closed-form pair bounds + worst-case alignment.
 
-    Pads each launch window by the wire's Elmore delay plus slew,
-    intersects into sensitive windows, screens every aggressor/victim
-    pair, and aligns.  Victims whose aligned bound stays below
-    ``config.threshold`` are conservatively safe and never simulated.
+    Pads each launch window by the wire's Elmore delay plus slew
+    (``arrivals``, :func:`arrival_times` under the config's driver and
+    load), intersects into sensitive windows, and aligns the screened
+    aggressor/victim pairs (``estimates``, :func:`screen_pairs` under
+    its :attr:`~NoiseConfig.screen_config`).  Victims whose aligned
+    bound stays below ``config.threshold`` are conservatively safe and
+    never simulated.  The bounds depend on the model and those knobs
+    alone, so :func:`screen_scenarios` computes them once for every
+    scenario that shares them.
     """
     start = time.perf_counter()
-    arrivals = arrival_times(
-        parasitics, config.driver_resistance, config.load_capacitance
-    )
     pad = arrivals.delays + arrivals.slews
     padded = [
         Window(w.start, w.end + float(pad[i]))
         for i, w in enumerate(switching)
     ]
     sensitive = sensitive_windows(padded, config.period)
-    estimates = screen_pairs(parasitics, config.screen_config)
     alignments = align_all(
         estimates.peak, estimates.area, padded, sensitive, config.threshold
     )
@@ -425,7 +431,7 @@ def escalation_horizon(
 
 @dataclass
 class ScreenedScenario:
-    """One planned scenario after its screen item.
+    """One planned scenario after its screen.
 
     Picklable, so screens run in any process and the planner regroups
     the outcomes.  ``source`` is the runner's hashable handle to the
@@ -446,10 +452,9 @@ class ScreenedScenario:
     #: The scenario's own :func:`escalation_horizon` -- the exact
     #: ``t_stop`` an independent scan would integrate to.
     horizon: float = 0.0
-    #: Wall time of the screen item.
+    #: The scenario's share of the wall time of its screen call (see
+    #: :func:`screen_scenarios`).
     seconds: float = 0.0
-    #: Counters and stage times of a screen item run in another process.
-    profile: Optional[StageProfile] = None
 
     @property
     def circuit(self) -> Tuple:
@@ -649,26 +654,13 @@ class ResponseEntry:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def screen_scenario(
-    parasitics: Parasitics,
-    spec: ModelSpec,
+def _launch_windows(
+    num_wires: int,
     config: NoiseConfig,
-    switching: Optional[Sequence[Window]] = None,
-    cache: Optional[PipelineCache] = None,
-    verify: bool = False,
-    source: Any = None,
-) -> ScreenedScenario:
-    """The screen item of one planned scenario.
-
-    ``switching`` gives each wire's driver *launch* window; by default
-    the seeded scattered schedule of :func:`staggered_schedule`.  No
-    window may start before ``t = 0`` (``ValueError`` naming the wire).
-    With a cache, a stored report under the scan's key short-circuits
-    the scenario; otherwise the screen tier runs and fixes the
-    scenario's own escalation horizon.
-    """
-    start = time.perf_counter()
-    num_wires = parasitics.system.num_wires
+    switching: Optional[Sequence[Window]],
+) -> List[Window]:
+    """``switching`` checked against the model, or the config's seeded
+    scattered schedule when it is ``None``."""
     if switching is None:
         switching = staggered_schedule(
             num_wires,
@@ -690,19 +682,109 @@ def screen_scenario(
                 f"wire {wire}'s switching window starts at "
                 f"{window.start:.6g} s, before t = 0"
             )
-    screened = ScreenedScenario(source, spec, config, switching)
-    if cache is not None:
-        screened.key = noise_scan_key(
-            parasitics, spec, config, switching, verify
+    return switching
+
+
+def screen_scenarios(
+    parasitics: Parasitics,
+    spec: ModelSpec,
+    configs: Sequence[NoiseConfig],
+    switchings: Optional[Sequence[Optional[Sequence[Window]]]] = None,
+    cache: Optional[PipelineCache] = None,
+    verify: bool = False,
+    source: Any = None,
+) -> List[ScreenedScenario]:
+    """The screen items of scenarios that share one parasitic model.
+
+    Scenario ``k`` runs ``configs[k]`` under ``switchings[k]``, each
+    wire's driver *launch* window; without ``switchings``, or where its
+    entry is ``None``, the config's seeded scattered schedule of
+    :func:`staggered_schedule`.  No window may start before ``t = 0``
+    (``ValueError`` naming the wire).  With a cache, a stored report
+    under a scenario's scan key short-circuits it; otherwise its screen
+    tier runs and fixes the scenario's own escalation horizon.
+
+    What depends on the model alone is computed once: the parasitics
+    fingerprint of every scan key and, for the scenarios the cache does
+    not answer, :func:`arrival_times` per driver resistance and load and
+    :func:`screen_pairs` per :attr:`~NoiseConfig.screen_config`.  Each
+    scenario's ``seconds`` is its own lap of the call: the fingerprint
+    is billed to the first scenario, and each bound to the first
+    scenario that uses it, in its ``seconds`` and in its screen tier's.
+    """
+    if switchings is None:
+        switchings = [None] * len(configs)
+    if len(switchings) != len(configs):
+        raise ValueError(
+            f"switchings must have one entry per config ({len(configs)}), "
+            f"got {len(switchings)}"
         )
-        screened.report = cache.get("noise", screened.key)
-    if screened.report is None:
-        screened.screen = screen_tier(parasitics, config, switching)
-        if screened.screen.escalated:
-            screened.horizon = escalation_horizon(
-                screened.screen.escalated, config, switching
+    num_wires = parasitics.system.num_wires
+    tick = time.perf_counter()
+    fingerprint = (
+        parasitics_fingerprint(parasitics) if cache is not None else ""
+    )
+    screened: List[ScreenedScenario] = []
+    for config, switching in zip(configs, switchings):
+        scenario = ScreenedScenario(
+            source, spec, config, _launch_windows(num_wires, config, switching)
+        )
+        if cache is not None:
+            scenario.key = noise_scan_key(
+                fingerprint, spec, config, scenario.switching, verify
             )
-    screened.seconds = time.perf_counter() - start
+            scenario.report = cache.get("noise", scenario.key)
+        screened.append(scenario)
+        now = time.perf_counter()
+        scenario.seconds += now - tick
+        tick = now
+    arrivals: Dict[Tuple[float, float], ArrivalTimes] = {}
+    estimates: Dict[ScreenConfig, ScreenEstimates] = {}
+    for scenario in screened:
+        if scenario.report is not None:
+            continue
+        config = scenario.config
+        drive = (config.driver_resistance, config.load_capacitance)
+        pairs = config.screen_config
+        if drive not in arrivals:
+            arrivals[drive] = arrival_times(parasitics, *drive)
+        if pairs not in estimates:
+            estimates[pairs] = screen_pairs(parasitics, pairs)
+        bounds = time.perf_counter() - tick
+        screen = screen_tier(
+            config, scenario.switching, arrivals[drive], estimates[pairs]
+        )
+        scenario.screen = replace(screen, seconds=screen.seconds + bounds)
+        if screen.escalated:
+            scenario.horizon = escalation_horizon(
+                screen.escalated, config, scenario.switching
+            )
+        now = time.perf_counter()
+        scenario.seconds += now - tick
+        tick = now
+    return screened
+
+
+def screen_scenario(
+    parasitics: Parasitics,
+    spec: ModelSpec,
+    config: NoiseConfig,
+    switching: Optional[Sequence[Window]] = None,
+    cache: Optional[PipelineCache] = None,
+    verify: bool = False,
+    source: Any = None,
+) -> ScreenedScenario:
+    """The screen item of one planned scenario: the one-config call of
+    :func:`screen_scenarios`."""
+    [screened] = screen_scenarios(
+        parasitics,
+        spec,
+        [config],
+        [switching],
+        cache=cache,
+        verify=verify,
+        source=source,
+    )
     return screened
 
 
@@ -1098,17 +1180,19 @@ def assemble_report(
 
 
 def noise_scan_key(
-    parasitics: Parasitics,
+    fingerprint: str,
     spec: ModelSpec,
     config: NoiseConfig,
     switching: Sequence[Window],
     verify: bool,
 ) -> str:
-    """Content-addressed cache key of one scan."""
+    """Content-addressed cache key of one scan of the parasitics whose
+    :func:`~repro.pipeline.cache.parasitics_fingerprint` is
+    ``fingerprint``."""
     return stable_hash(
         "noise",
         CACHE_VERSION,
-        parasitics_fingerprint(parasitics),
+        fingerprint,
         spec,
         config,
         tuple((w.start, w.end) for w in switching),

@@ -242,7 +242,7 @@ def wire_inductance(parasitics: Parasitics) -> np.ndarray:
     path is the unchanged gather-matrix product.
     """
     system = parasitics.system
-    wire_of = np.array([system[i].wire for i in range(len(system))], dtype=int)
+    wire_of = system.filament_wires()
     num_wires = system.num_wires
     if parasitics.is_hierarchical and not parasitics.has_dense_inductance:
         out = np.zeros((num_wires, num_wires))
@@ -263,7 +263,7 @@ def wire_inductance(parasitics: Parasitics) -> np.ndarray:
 def wire_coupling_capacitance(parasitics: Parasitics) -> np.ndarray:
     """Wire-level coupling capacitance summed from filament pairs."""
     system = parasitics.system
-    wire_of = np.array([system[i].wire for i in range(len(system))], dtype=int)
+    wire_of = system.filament_wires()
     num_wires = system.num_wires
     coupling = np.zeros((num_wires, num_wires))
     for (i, j), value in parasitics.coupling_capacitance.items():

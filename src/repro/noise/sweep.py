@@ -8,14 +8,17 @@ module expands a declarative :class:`SweepGrid` into content-keyed
 plan of :mod:`repro.noise.engine`, of which a one-shot scan is the
 one-scenario case -- through the existing pipeline plumbing:
 
-- each scenario's screen item and each simulate item is a picklable
+- each geometry's screen item and each simulate item is a picklable
   work item fanned out over the process pool via
   :func:`repro.experiments.jobs.fan_out` (results in plan order,
   profiles merged);
+- scenarios that differ only in electrical knobs (driver strength,
+  schedule density) share one geometry, which one screen item builds,
+  extracts, fingerprints and bounds once for all of them;
 - extraction, model building, and whole noise reports flow through the
   shared content-addressed :class:`~repro.pipeline.cache.PipelineCache`,
-  so scenarios that differ only in electrical knobs (driver strength,
-  schedule density) share one extraction and one model build;
+  so the simulate items reuse the screen's extraction and share one
+  model build per testbench;
 - scenarios that share a testbench circuit (same geometry, driver,
   supply, time step) merge their escalated victims into one simulate
   item, whose one
@@ -42,7 +45,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +65,7 @@ from repro.noise.engine import (
     plan_marches,
     plan_simulations,
     scan_checksum,
-    screen_scenario,
+    screen_scenarios,
 )
 from repro.pipeline.cache import PipelineCache, cached_extract
 from repro.pipeline.profiling import StageProfile, add_counter, collect, stage
@@ -211,12 +214,16 @@ class SweepGrid:
 
 @dataclass
 class ScenarioResult:
-    """One scenario's scan outcome plus its worker profile."""
+    """One scenario's scan outcome.
+
+    ``seconds`` is the scenario's share of its geometry's screen item
+    (see :func:`screen_grid`): the first scenario of each geometry also
+    carries the geometry's build and extraction.
+    """
 
     scenario: Scenario
     report: NoiseScanReport
     seconds: float
-    profile: Optional[StageProfile] = None
 
     @property
     def worst_peak(self) -> float:
@@ -397,27 +404,63 @@ def sweep_report_checksum(report: SweepReport) -> str:
     return scan_checksum(*(r.report for r in report.results))
 
 
-def _screen_point(
-    scenario: Scenario,
-    base: NoiseConfig,
+@dataclass
+class _ScreenedGeometry:
+    """One geometry's screen item: its scenarios, in grid order."""
+
+    screened: List[ScreenedScenario]
+    profile: StageProfile
+
+
+def _screen_geometry(
+    item: Tuple[GeometrySpec, Sequence[NoiseConfig]],
     model: ModelSpec,
     cache: Optional[PipelineCache],
-) -> ScreenedScenario:
-    """One scenario's screen item: extract through the cache, screen."""
+) -> _ScreenedGeometry:
+    """Extract one geometry through the cache, screen its scenarios."""
+    geometry, configs = item
     start = time.perf_counter()
-    geometry = scenario.geometry()
     with collect() as profile:
         parasitics = cached_extract(geometry.build(), cache=cache)
-        screened = screen_scenario(
-            parasitics,
-            model,
-            scenario.config(base),
-            cache=cache,
-            source=geometry,
+        extracted = time.perf_counter()
+        screened = screen_scenarios(
+            parasitics, model, configs, cache=cache, source=geometry
         )
-    screened.seconds = time.perf_counter() - start
-    screened.profile = profile
-    return screened
+    screened[0].seconds += extracted - start
+    return _ScreenedGeometry(screened, profile)
+
+
+def screen_grid(
+    grid: SweepGrid,
+    parallel: Optional[int] = None,
+    cache: Optional[PipelineCache] = None,
+) -> List[ScreenedScenario]:
+    """Step 1 of :func:`run_sweep`: every scenario's screen, grid order.
+
+    Scenarios group by :meth:`Scenario.geometry` in first-appearance
+    order, one work item per geometry over the process pool.  The item
+    builds and extracts its geometry once (through the cache when one
+    is given) and screens all its scenarios on that one model with
+    :func:`~repro.noise.engine.screen_scenarios`, which fingerprints
+    the parasitics once for every scan key and computes the pair bounds
+    once per distinct screen config.
+    """
+    scenarios = grid.scenarios()
+    members: Dict[GeometrySpec, List[int]] = {}
+    for index, scenario in enumerate(scenarios):
+        members.setdefault(scenario.geometry(), []).append(index)
+    items = fan_out(
+        functools.partial(_screen_geometry, model=grid.model, cache=cache),
+        [
+            (geometry, [scenarios[i].config(grid.base) for i in indices])
+            for geometry, indices in members.items()
+        ],
+        parallel=parallel,
+    )
+    placed: Dict[int, ScreenedScenario] = {}
+    for indices, item in zip(members.values(), items):
+        placed.update(zip(indices, item.screened))
+    return [placed[index] for index in range(len(scenarios))]
 
 
 def _simulate_item(
@@ -442,10 +485,12 @@ def run_sweep(
 
     The noise plan of :mod:`repro.noise.engine` over the grid:
 
-    1. **Screen** -- every scenario fans out over the process pool:
-       extraction through the shared cache (scenarios differing only in
-       electrical knobs share one entry), cached-scan short-circuit,
-       then the closed-form screen tier.
+    1. **Screen** -- every geometry fans out over the process pool
+       (:func:`screen_grid`): one build and extraction through the
+       shared cache for all the scenarios that differ only in
+       electrical knobs, one parasitics fingerprint for their scan
+       keys, cached-scan short-circuit, then the closed-form screen
+       tier, with one set of pair bounds per distinct screen config.
     2. **Simulate** -- escalated victims regroup by testbench circuit
        (same geometry, model, driver, supply, step): each group is one
        simulate item whose columns share a single model build, MNA
@@ -464,13 +509,7 @@ def run_sweep(
     scenarios = grid.scenarios()
     start = time.perf_counter()
     with stage("noise_sweep"):
-        screened = fan_out(
-            functools.partial(
-                _screen_point, base=grid.base, model=grid.model, cache=cache
-            ),
-            scenarios,
-            parallel=parallel,
-        )
+        screened = screen_grid(grid, parallel=parallel, cache=cache)
         add_counter(
             "noise_sweep_cache_hits",
             sum(1 for item in screened if item.report is not None),

@@ -65,6 +65,20 @@ def _section(payload: Any, name: str) -> Mapping[str, Any]:
     return payload
 
 
+def _number(section: str, name: str, value: Any, whole: bool = False) -> Any:
+    """``value`` as sent, or ``TypeError`` naming ``section.name`` when
+    it is not a JSON number (an integer when ``whole``); a boolean is
+    neither."""
+    kinds = (int,) if whole else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(
+            f"{section}.{name} must be "
+            f"{'an integer' if whole else 'a number'}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
     """A serializable geometry request.
@@ -133,21 +147,18 @@ class SimParams:
         boolean) raises ``TypeError`` naming its field.  Values are
         kept as sent, so a request's key is that of its payload."""
         payload = _section(payload, "sim")
-        kwargs: Dict[str, Any] = {}
-        for spec in dataclasses.fields(cls):
-            if spec.name not in payload:
-                continue
-            value = payload[spec.name]
-            whole = spec.name == "aggressor"
-            kinds = (int,) if whole else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise TypeError(
-                    f"sim.{spec.name} must be "
-                    f"{'an integer' if whole else 'a number'}, "
-                    f"got {type(value).__name__}"
+        return cls(
+            **{
+                spec.name: _number(
+                    "sim",
+                    spec.name,
+                    payload[spec.name],
+                    whole=spec.name == "aggressor",
                 )
-            kwargs[spec.name] = value
-        return cls(**kwargs)
+                for spec in dataclasses.fields(cls)
+                if spec.name in payload
+            }
+        )
 
 
 def model_spec_to_dict(spec: ModelSpec) -> Dict[str, Any]:
@@ -165,18 +176,26 @@ def noise_config_to_dict(config: NoiseConfig) -> Dict[str, Any]:
 
 
 def noise_config_from_dict(payload: Mapping[str, Any]) -> NoiseConfig:
+    """A request's ``noise`` section (or a sweep's ``base``).
+
+    Every scalar field must be a JSON number, ``schedule_seed`` an
+    integer, and ``receiver`` / ``envelope`` null or an object; any
+    other value raises ``TypeError`` naming its field.  Scalars are
+    kept as sent, so a request's key is that of its payload.
+    """
     payload = _section(payload, "noise config")
     known = {f.name for f in dataclasses.fields(NoiseConfig)}
     kwargs = {k: v for k, v in payload.items() if k in known}
-    # The nested receiver / envelope sections arrive as plain dicts
-    # after a JSON round trip (or null); rebuild the frozen dataclasses.
-    for name in ("receiver", "envelope"):
-        value = kwargs.get(name)
-        if value is not None and not isinstance(value, Mapping):
+    for name, value in kwargs.items():
+        if name not in ("receiver", "envelope"):
+            _number("noise", name, value, whole=name == "schedule_seed")
+        elif value is not None and not isinstance(value, Mapping):
             raise TypeError(
                 f"noise.{name} must be null or an object, "
                 f"got {type(value).__name__}"
             )
+    # The nested receiver / envelope sections arrive as plain dicts
+    # after a JSON round trip (or null); rebuild the frozen dataclasses.
     receiver = kwargs.get("receiver")
     if isinstance(receiver, Mapping):
         kwargs["receiver"] = ReceiverModel(

@@ -87,7 +87,7 @@ def truncate_geometric(
     """
     if nw < 1 or nl < 1:
         raise ValueError("window dimensions must be >= 1")
-    wires = np.array([system[i].wire for i in network.indices])
+    wires = system.filament_wires()[network.indices]
     segments = np.array([system[i].segment for i in network.indices])
     wire_dist = np.abs(wires[:, None] - wires[None, :])
     seg_dist = np.abs(segments[:, None] - segments[None, :])

@@ -12,17 +12,20 @@ covers with a tolerance instead.)
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.bench.sweep import sweep_grid
-from repro.noise.engine import NoiseConfig, run_noise_scan
+from repro.noise import engine, sweep
+from repro.noise.engine import NoiseConfig, run_noise_scan, screen_scenario
 from repro.noise.sweep import (
     MAX_COLUMNS_PER_SIM,
     Scenario,
     SweepGrid,
     run_sweep,
+    screen_grid,
     sweep_report_checksum,
 )
 from repro.pipeline.cache import PipelineCache, cached_extract
@@ -41,6 +44,13 @@ GOLDEN_GRID = SweepGrid(
 
 GOLDEN_CHECKSUM = (
     "9cd89df493173c9ec7ba9468fbd9a11d685d6bc081486323fb2ba008131124e7"
+)
+
+#: The size-6 bench family (``BENCH_noise_sweep.json``, size 6): one
+#: 96-filament geometry under six schedule densities.
+SWEEP6_GRID = sweep_grid(segments=6, num_densities=6)
+SWEEP6_CHECKSUM = (
+    "1431edf6e03180a6b1de5a3c46b3d6db283350af0f2cbcd6aaa4a1ca5224452c"
 )
 
 #: Pooled per-victim quantiles of the golden family, frozen to 1e-9.
@@ -245,6 +255,80 @@ class TestBatchedEquivalence:
         assert profile.counters["noise_sweep_sim_groups"] < 12
 
 
+class TestScreenStage:
+    """The screen stage screens each geometry once: its scenarios share
+    one build and extraction, one parasitics fingerprint and one set
+    of pair bounds per screen config."""
+
+    @pytest.mark.parametrize(
+        "grid", [GOLDEN_GRID, SWEEP6_GRID], ids=["golden", "sweep6"]
+    )
+    def test_matches_per_scenario_screens(self, grid, tmp_path):
+        cache = PipelineCache(tmp_path)
+        grouped = screen_grid(grid, parallel=1, cache=cache)
+        assert len(grouped) == grid.num_scenarios
+        for scenario, ours in zip(grid.scenarios(), grouped):
+            geometry = scenario.geometry()
+            theirs = screen_scenario(
+                cached_extract(geometry.build(), cache=cache),
+                grid.model,
+                scenario.config(grid.base),
+                cache=cache,
+                source=geometry,
+            )
+            assert ours.source == geometry
+            assert ours.config == theirs.config
+            assert ours.switching == theirs.switching
+            assert ours.key is not None and ours.key == theirs.key
+            assert ours.report is None and theirs.report is None
+            assert ours.screen is not None and theirs.screen is not None
+            # repr: an alignment with no feasible aggressor holds a nan.
+            assert repr(ours.screen.alignments) == repr(
+                theirs.screen.alignments
+            )
+            assert ours.screen.escalated == theirs.screen.escalated
+            assert ours.screen.sensitive == theirs.screen.sensitive
+            assert ours.horizon == theirs.horizon
+
+    @pytest.mark.parametrize(
+        "grid, geometries, pairs, checksum",
+        [
+            (SWEEP6_GRID, 1, 240, SWEEP6_CHECKSUM),
+            (GOLDEN_GRID, 6, 672, GOLDEN_CHECKSUM),
+        ],
+        ids=["sweep6", "golden"],
+    )
+    def test_each_geometry_is_screened_once(
+        self, grid, geometries, pairs, checksum, tmp_path, monkeypatch
+    ):
+        """Per geometry: one extraction and one fingerprint in the
+        screen stage (each simulate item adds one extraction, a cache
+        hit here), and one set of pair bounds per driver."""
+        calls: Counter = Counter()
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            engine,
+            "parasitics_fingerprint",
+            counted("fingerprint", engine.parasitics_fingerprint),
+        )
+        monkeypatch.setattr(
+            sweep, "cached_extract", counted("extract", sweep.cached_extract)
+        )
+        with collect() as profile:
+            report = run_sweep(grid, parallel=1, cache=PipelineCache(tmp_path))
+        assert sweep_report_checksum(report) == checksum
+        items = profile.counters["noise_sweep_sim_groups"]
+        assert calls == {"fingerprint": geometries, "extract": geometries + items}
+        assert profile.counters["noise_pairs_screened"] == pairs
+
+
 class TestParallelDeterminism:
     def test_parallel_worker_count_does_not_change_results(self):
         grid = SweepGrid(
@@ -252,11 +336,22 @@ class TestParallelDeterminism:
             spacings=(1e-6, 2e-6),
             base=NoiseConfig(threshold_fraction=0.12),
         )
-        serial = run_sweep(grid, parallel=1, cache=None)
-        pooled = run_sweep(grid, parallel=2, cache=None)
+        with collect() as serial_profile:
+            serial = run_sweep(grid, parallel=1, cache=None)
+        with collect() as pooled_profile:
+            pooled = run_sweep(grid, parallel=2, cache=None)
         assert sweep_report_checksum(serial) == sweep_report_checksum(pooled)
         for a, b in zip(serial.results, pooled.results):
             assert a.scenario == b.scenario
+        for counter in (
+            "noise_victims_escalated",
+            "noise_victims_screened_out",
+            "noise_pairs_screened",
+        ):
+            assert (
+                serial_profile.counters[counter]
+                == pooled_profile.counters[counter]
+            )
 
 
 class TestReceiverThreadsThroughSweep:

@@ -149,6 +149,40 @@ class TestMalformedValues:
         with pytest.raises(TypeError, match=field):
             JobRequest.from_dict({**base, section: values})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("vdd", "1"),
+            ("vdd", True),
+            ("schedule_seed", "7"),
+            ("schedule_seed", 7.0),
+            ("driver_resistance", "50"),
+            ("dt", "1e-12"),
+            ("threshold_fraction", "0.2"),
+            ("period", None),
+            ("headroom", [1.2]),
+        ],
+        ids=[
+            "vdd-string",
+            "vdd-bool",
+            "schedule_seed-string",
+            "schedule_seed-float",
+            "driver_resistance-string",
+            "dt-string",
+            "threshold_fraction-string",
+            "period-null",
+            "headroom-list",
+        ],
+    )
+    def test_noise_scalar_of_the_wrong_type(self, field, value):
+        """A noise scan's section and a sweep's base are read alike."""
+        with pytest.raises(TypeError, match=f"noise.{field}"):
+            JobRequest.from_dict({**self._NOISE, "noise": {field: value}})
+        with pytest.raises(TypeError, match=f"noise.{field}"):
+            JobRequest.from_dict(
+                {"op": "sweep", "sweep": {"base": {field: value}}}
+            )
+
     def test_valid_values_keep_their_keys(self):
         """Accepted values pass as sent: an integer physics value is not
         turned into a float, so its request keys as before."""
@@ -162,6 +196,8 @@ class TestMalformedValues:
             verify=True,
         )
         assert as_sent.sim.vdd == 1 and type(as_sent.sim.vdd) is int
+        scan = JobRequest.from_dict({**self._NOISE, "noise": {"vdd": 1}})
+        assert scan.noise.vdd == 1 and type(scan.noise.vdd) is int
         quiet = JobRequest.from_dict(
             {**self._NOISE, "noise": {"receiver": None, "envelope": None}}
         )

@@ -582,6 +582,11 @@ class TestTcpProtocol:
                 b' "model": {"kind": "gw", "window": 4, "solver": "iterative"}}',
                 "solver",
             ),
+            (
+                b'{"op": "noise", "geometry": {"kind": "bus", "size": 4},'
+                b' "noise": {"dt": "1e-12"}}',
+                "noise.dt",
+            ),
         ],
         ids=[
             "list",
@@ -594,6 +599,7 @@ class TestTcpProtocol:
             "sweep-base",
             "sweep-model",
             "iterative-solver",
+            "noise-scalar",
         ],
     )
     def test_malformed_line_gets_one_error(self, line, names):
